@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
   bench::header("scenario: genload seven-kind trace (informational)");
   // A seeded scenario workload (san_tool genload): Zipf-skewed users,
   // diurnal arrivals over a four-week window, all seven query kinds —
-  // the realistic mix that exercises the derived-state side-cache
+  // the realistic mix that exercises the per-entry derived state
   // (sybil topology / label propagation / first-pick builds, one per
   // resolved day). Rates are runner-dependent: reported for trending,
   // never gated against the baseline.
@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
                 scenario_queries.size(),
                 static_cast<unsigned long long>(stats.misses),
                 cold_scenario_s, cold_qps, warm_scenario_s, warm_qps);
-    std::printf("  derived side-cache: %llu builds, %llu hits\n",
+    std::printf("  derived state: %llu builds, %llu hits\n",
                 static_cast<unsigned long long>(stats.derived_misses),
                 static_cast<unsigned long long>(stats.derived_hits));
     report.add("scenario_qps_cold", cold_qps);

@@ -94,17 +94,12 @@ struct LiveTimelineOptions {
   double initial_tip = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// The reader-side face every live frontier shares: tip() is one atomic
+/// The surface every live frontier shares. Readers: tip() is one atomic
 /// shared_ptr load of the latest published epoch, lock-free with respect
-/// to writers. serve::SnapshotCache binds against this interface so both
-/// LiveTimeline and ShardedLiveTimeline can back the live path.
+/// to writers; serve::SnapshotCache binds against it. Writers: ingest(),
+/// publish(), stats() and register_metrics() — the CLI drives either
+/// LiveTimeline or ShardedLiveTimeline through this interface alone.
 class LiveTipSource {
- public:
-  virtual ~LiveTipSource() = default;
-  virtual std::shared_ptr<const SanSnapshot> tip() const = 0;
-};
-
-class LiveTimeline : public LiveTipSource {
  public:
   struct Stats {
     std::uint64_t batches = 0;
@@ -125,6 +120,23 @@ class LiveTimeline : public LiveTipSource {
     std::uint64_t late_batches = 0;
   };
 
+  virtual ~LiveTipSource() = default;
+  virtual std::shared_ptr<const SanSnapshot> tip() const = 0;
+  /// Time of the latest published epoch (== tip()->time).
+  double tip_time() const { return tip()->time; }
+
+  /// Ingest one batch; returns the ingest frontier (see each class).
+  virtual double ingest(const IngestBatch& batch) = 0;
+  /// Make the current frontier visible as an epoch (no-op if it is).
+  virtual void publish() = 0;
+  virtual Stats stats() const = 0;
+  /// Attach the frontier's ingest telemetry under `prefix`.
+  virtual void register_metrics(obs::Registry& registry,
+                                const std::string& prefix) const = 0;
+};
+
+class LiveTimeline : public LiveTipSource {
+ public:
   /// Starts with `seed` fully ingested: the initial tip is the seed's
   /// max event time (0.0 for an empty seed) and epoch 0 — the seed's
   /// complete snapshot — is published immediately, so tip() never returns
@@ -139,24 +151,21 @@ class LiveTimeline : public LiveTipSource {
   /// Serializes with other writers on an internal mutex; never blocks
   /// readers. Throws std::invalid_argument on a non-advancing tip, NaN
   /// times, or out-of-order node joins — the log is unchanged on throw.
-  double ingest(const IngestBatch& batch);
+  double ingest(const IngestBatch& batch) override;
 
   /// Force publication of the current tip as a new epoch (a no-op when
   /// the tip is already published).
-  void publish();
+  void publish() override;
 
   /// The latest published epoch snapshot: one atomic load, lock-free with
   /// respect to writers. The snapshot is immutable; hold it as long as
   /// needed.
   std::shared_ptr<const SanSnapshot> tip() const override;
 
-  /// Time of the latest published epoch (== tip()->time).
-  double tip_time() const { return tip()->time; }
-
   /// Published epoch counter (0 = the seed epoch).
   std::uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
-  Stats stats() const;
+  Stats stats() const override;
 
   /// Attach this frontier's ingest telemetry to `registry` under `prefix`:
   /// phase latency histograms (`<prefix>.absorb` / `.advance` / `.publish`),
@@ -167,7 +176,7 @@ class LiveTimeline : public LiveTipSource {
   /// `.ingested_links`, `.rejected_links`). Latencies record only while
   /// obs::timing_enabled(); attach is per-instance.
   void register_metrics(obs::Registry& registry,
-                        const std::string& prefix) const;
+                        const std::string& prefix) const override;
 
   /// The accumulated log: seed plus every ingested event, the prefix the
   /// determinism contract is stated against. Writer-side access only —

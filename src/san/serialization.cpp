@@ -1,18 +1,102 @@
 #include "san/serialization.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 namespace san {
 namespace {
 
 constexpr const char* kMagic = "SANv1";
 
-void expect(bool condition, const char* message) {
-  if (!condition) throw std::runtime_error(std::string("load_san: ") + message);
-}
+/// Token reader for load_san that names where a load stopped. The writer
+/// ends every line with '\n', so each token must be followed by
+/// whitespace: a token that runs into end of input was cut short, and a
+/// cut number is usually still a number (a shortened time would load, or
+/// trip an ordering check far from the real fault). Tokens are scanned
+/// straight off the stream buffer and numbers parsed with from_chars,
+/// which round-trips the writer's max_digits10 times exactly.
+class Reader {
+ public:
+  explicit Reader(std::istream& in) : buf_(*in.rdbuf()) {}
+
+  /// Reads the `<name> <count>` line that opens a section and returns the
+  /// count; later failures name this section.
+  std::uint64_t header(const char* name) {
+    section_ = name;
+    in_header_ = true;
+    if (word() != name) fail(std::string("expected ") + name);
+    const auto count = number<std::uint64_t>();
+    in_header_ = false;
+    return count;
+  }
+
+  /// Failures from here on name record `index` of the current section.
+  void record(std::uint64_t index) { record_ = index; }
+
+  template <typename T>
+  T number() {
+    const std::string_view token = word();
+    T value{};
+    const char* end = token.data() + token.size();
+    const auto [stop_at, error] = std::from_chars(token.data(), end, value);
+    if (error != std::errc() || stop_at != end) stop("malformed");
+    return value;
+  }
+
+  /// The next whitespace-delimited token, which must be followed by
+  /// whitespace (left unread).
+  std::string_view word() {
+    int c = buf_.sgetc();
+    while (c != kEof && is_space(c)) c = buf_.snextc();
+    token_.clear();
+    while (c != kEof && !is_space(c)) {
+      token_.push_back(static_cast<char>(c));
+      c = buf_.snextc();
+    }
+    if (c == kEof) stop("truncated");
+    return token_;
+  }
+
+  /// The rest of the current line, which must end in '\n' (consumed).
+  std::string rest_of_line() {
+    std::string line;
+    for (int c = buf_.sbumpc(); c != '\n'; c = buf_.sbumpc()) {
+      if (c == kEof) stop("truncated");
+      line.push_back(static_cast<char>(c));
+    }
+    return line;
+  }
+
+  [[noreturn]] void fail(const std::string& message) const {
+    throw std::runtime_error("load_san: " + message);
+  }
+
+ private:
+  static constexpr int kEof = std::char_traits<char>::eof();
+
+  static bool is_space(int c) {
+    return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+           c == '\f';
+  }
+
+  [[noreturn]] void stop(const char* what) const {
+    fail(std::string(what) + " " + section_ +
+         (in_header_ ? std::string(" header")
+                     : " record " + std::to_string(record_)));
+  }
+
+  std::streambuf& buf_;
+  std::string token_;  // reused: no allocation per token
+  const char* section_ = kMagic;
+  bool in_header_ = true;
+  std::uint64_t record_ = 0;
+};
 
 }  // namespace
 
@@ -55,52 +139,43 @@ void save_san(const SocialAttributeNetwork& network, const std::string& path) {
 }
 
 SocialAttributeNetwork load_san(std::istream& in) {
-  std::string token;
-  expect(static_cast<bool>(in >> token) && token == kMagic, "bad magic");
+  Reader reader(in);
+  if (reader.word() != kMagic) reader.fail("bad magic");
 
   SocialAttributeNetwork network;
-  std::size_t n_social = 0;
-  expect(static_cast<bool>(in >> token >> n_social) && token == "social_nodes",
-         "expected social_nodes");
-  for (std::size_t u = 0; u < n_social; ++u) {
-    double time = 0.0;
-    expect(static_cast<bool>(in >> time), "truncated social node times");
-    network.add_social_node(time);
+  const std::uint64_t n_social = reader.header("social_nodes");
+  for (std::uint64_t u = 0; u < n_social; ++u) {
+    reader.record(u);
+    network.add_social_node(reader.number<double>());
   }
 
-  std::size_t n_attr = 0;
-  expect(static_cast<bool>(in >> token >> n_attr) && token == "attribute_nodes",
-         "expected attribute_nodes");
-  for (std::size_t a = 0; a < n_attr; ++a) {
-    int type = 0;
-    double time = 0.0;
-    expect(static_cast<bool>(in >> type >> time), "truncated attribute node");
-    expect(type >= 0 && type < kAttributeTypeCount, "bad attribute type");
-    std::string name;
-    std::getline(in, name);
+  const std::uint64_t n_attr = reader.header("attribute_nodes");
+  for (std::uint64_t a = 0; a < n_attr; ++a) {
+    reader.record(a);
+    const int type = reader.number<int>();
+    const double time = reader.number<double>();
+    if (type < 0 || type >= kAttributeTypeCount) {
+      reader.fail("bad attribute type");
+    }
+    std::string name = reader.rest_of_line();
     if (!name.empty() && name.front() == ' ') name.erase(0, 1);
     network.add_attribute_node(static_cast<AttributeType>(type), name, time);
   }
 
-  std::uint64_t n_links = 0;
-  expect(static_cast<bool>(in >> token >> n_links) && token == "social_links",
-         "expected social_links");
+  const std::uint64_t n_links = reader.header("social_links");
   for (std::uint64_t i = 0; i < n_links; ++i) {
-    NodeId u = 0, v = 0;
-    double time = 0.0;
-    expect(static_cast<bool>(in >> u >> v >> time), "truncated social link");
-    network.add_social_link(u, v, time);
+    reader.record(i);
+    const auto u = reader.number<NodeId>();
+    const auto v = reader.number<NodeId>();
+    network.add_social_link(u, v, reader.number<double>());
   }
 
-  expect(static_cast<bool>(in >> token >> n_links) &&
-             token == "attribute_links",
-         "expected attribute_links");
-  for (std::uint64_t i = 0; i < n_links; ++i) {
-    NodeId u = 0;
-    AttrId a = 0;
-    double time = 0.0;
-    expect(static_cast<bool>(in >> u >> a >> time), "truncated attribute link");
-    network.add_attribute_link(u, a, time);
+  const std::uint64_t n_attr_links = reader.header("attribute_links");
+  for (std::uint64_t i = 0; i < n_attr_links; ++i) {
+    reader.record(i);
+    const auto u = reader.number<NodeId>();
+    const auto a = reader.number<AttrId>();
+    network.add_attribute_link(u, a, reader.number<double>());
   }
   return network;
 }

@@ -100,8 +100,6 @@ class ShardedLiveTimeline : public LiveTipSource {
   /// tiny test networks span every shard.
   static constexpr std::size_t kShardBlock = 8;
 
-  using Stats = LiveTimeline::Stats;
-
   /// Starts with `seed` fully ingested and epoch 0 (the seed's complete
   /// stitched snapshot) published, so tip() never returns null.
   explicit ShardedLiveTimeline(
@@ -116,16 +114,14 @@ class ShardedLiveTimeline : public LiveTipSource {
   /// Throws std::invalid_argument on a tip that is NaN or not strictly
   /// after the last published epoch, NaN times, or out-of-order joins —
   /// nothing is admitted on throw.
-  double ingest(const IngestBatch& batch);
+  double ingest(const IngestBatch& batch) override;
 
   /// Stitch and publish the current frontier as a new epoch (no-op when
   /// nothing changed since the last stitch).
-  void publish();
+  void publish() override;
 
   /// The latest stitched epoch: one atomic load, lock-free for readers.
   std::shared_ptr<const SanSnapshot> tip() const override;
-
-  double tip_time() const { return tip()->time; }
 
   /// Published epoch counter (0 = the seed epoch).
   std::uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
@@ -135,7 +131,7 @@ class ShardedLiveTimeline : public LiveTipSource {
   /// time and forced a full shard rebuild; `activated_links` counts held
   /// links routed once their endpoints appeared (a duplicate among them is
   /// also counted rejected at its shard).
-  Stats stats() const;
+  Stats stats() const override;
 
   /// Attach this frontier's ingest telemetry to `registry` under `prefix`,
   /// mirroring LiveTimeline::register_metrics where the phases correspond:
@@ -145,7 +141,7 @@ class ShardedLiveTimeline : public LiveTipSource {
   /// the Stats fn gauges — so CLI consumers read the same key schema
   /// whichever frontier backs the live path.
   void register_metrics(obs::Registry& registry,
-                        const std::string& prefix) const;
+                        const std::string& prefix) const override;
 
   std::size_t shard_count() const { return shards_.size(); }
 

@@ -24,8 +24,8 @@ struct ServeScratch {
 };
 
 /// The derived-state handles one snapshot group executes against —
-/// resolved through the cache's side-cache once per group, only for the
-/// kinds the group actually contains.
+/// resolved through the cache's derived slots once per group, only for
+/// the kinds the group actually contains.
 struct DerivedHandles {
   std::shared_ptr<const apps::SybilLimit> sybil;
   std::shared_ptr<const CommunityState> community;

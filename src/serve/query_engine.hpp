@@ -29,9 +29,9 @@ struct QueryEngineOptions {
   apps::LinkPredictionWeights link_weights;
   apps::AttributeInferenceOptions inference;  // top_k comes from the query
   apps::ReciprocityWeights reciprocity_weights;
-  /// sybil/community builder options for the per-snapshot derived-state
-  /// side-cache. Cells are keyed by snapshot only, so every engine sharing
-  /// one SnapshotCache must use identical DerivedOptions.
+  /// sybil/community builder options for the per-snapshot derived state
+  /// kept on the cache entries. Slots are keyed by snapshot only, so every
+  /// engine sharing one SnapshotCache must use identical DerivedOptions.
   DerivedOptions derived;
 };
 

@@ -1,21 +1,61 @@
 #include "serve/snapshot_cache.hpp"
 
-#include <algorithm>
+#include <chrono>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "core/thread_pool.hpp"
 #include "obs/trace.hpp"
-#include "san/live_timeline.hpp"
 
 namespace san::serve {
+namespace {
+
+/// The coalescing step behind every build, entered with the cache mutex
+/// held through `lock`. A valid `slot` is a (possibly in-flight) build to
+/// join — except on a pool lane, which must not block on a foreign build
+/// (the builder may be queued behind that very pool job) and builds a
+/// private copy instead. An invalid slot is claimed: built outside the
+/// lock, then `settle(value)` runs under the lock before the future is
+/// fulfilled. A throwing build resets the slot (so a later request
+/// retries) and calls `settle(nullptr)`. The caller's `lock` releases
+/// whatever is still held.
+template <typename T, typename Build, typename Settle>
+std::shared_ptr<const T> coalesce(
+    std::unique_lock<std::mutex>& lock,
+    std::shared_future<std::shared_ptr<const T>>& slot, Build&& build,
+    Settle&& settle) {
+  using Ptr = std::shared_ptr<const T>;
+  if (slot.valid()) {
+    const auto joined = slot;
+    lock.unlock();
+    const bool ready = joined.wait_for(std::chrono::seconds(0)) ==
+                       std::future_status::ready;
+    return ready || !core::in_parallel_region() ? joined.get() : build();
+  }
+  std::promise<Ptr> promise;
+  slot = promise.get_future().share();
+  lock.unlock();
+  Ptr value;
+  try {
+    value = build();
+  } catch (...) {
+    lock.lock();
+    slot = {};
+    settle(nullptr);
+    promise.set_exception(std::current_exception());
+    throw;
+  }
+  lock.lock();
+  settle(value);
+  promise.set_value(value);
+  return value;
+}
+
+}  // namespace
 
 SnapshotCache::SnapshotCache(const SanTimeline& timeline, std::size_t capacity)
-    : timeline_(timeline),
-      capacity_(capacity),
-      derived_(std::max<std::size_t>(capacity, 1)) {
+    : timeline_(timeline), capacity_(capacity) {
   if (capacity == 0) {
     throw std::invalid_argument("SnapshotCache: capacity must be >= 1");
   }
@@ -37,87 +77,113 @@ std::shared_ptr<const SanSnapshot> SnapshotCache::at(double time) {
     return live_->tip();
   }
 
-  std::shared_future<Handle> wait_on;
-  std::optional<std::promise<Handle>> promise;
-  std::unique_ptr<SanTimeline::Materializer> materializer;
-  std::function<void(double)> hook;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = index_.find(time); it != index_.end()) {
-      hits_->add();
-      lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
-      return it->second->snapshot;
-    }
-    if (const auto it = inflight_.find(time); it != inflight_.end()) {
-      coalesced_->add();
-      if (!core::in_parallel_region()) {
-        // Another thread is already building this exact time: wait on ITS
-        // future (outside the lock) instead of duplicating the work.
-        wait_on = it->second;
-      }
-      // From inside a pool job, waiting could deadlock: the foreign
-      // builder may be queued behind THIS job's lock while this lane
-      // blocks the job from finishing. Build an unregistered duplicate
-      // instead (the registered builder still owns the cache insert).
-    } else {
-      misses_->add();
-      promise.emplace();
-      inflight_.emplace(time,
-                        std::shared_future<Handle>(promise->get_future()));
-      peak_inflight_->update_max(static_cast<std::int64_t>(inflight_.size()));
-      hook = miss_hook_;
-    }
-    if (!wait_on.valid()) {
-      if (idle_.empty()) {
-        materializer = std::make_unique<SanTimeline::Materializer>(timeline_);
-      } else {
-        materializer = std::move(idle_.back());
-        idle_.pop_back();
-      }
-    }
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (const auto it = index_.find(time); it != index_.end()) {
+    hits_->add();
+    lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
+    return (*it->second)->snapshot;
   }
-  if (wait_on.valid()) return wait_on.get();
+  // A time already in flight on another thread is joined (or, on a pool
+  // lane, built as an unregistered duplicate — the registered builder
+  // still owns the cache insert); only the registered builder runs the
+  // miss hook.
+  auto& slot = inflight_[time];
+  const bool joining = slot.valid();
+  (joining ? coalesced_ : misses_)->add();
+  peak_inflight_->update_max(static_cast<std::int64_t>(inflight_.size()));
+  const auto hook = joining ? nullptr : miss_hook_;
+  return coalesce(
+      lock, slot,
+      [&] {
+        if (hook) hook(time);
+        return materialize(time);
+      },
+      [&](const Handle& landed) {
+        inflight_.erase(time);
+        if (landed == nullptr) return;
+        if (lru_.size() >= capacity_) {
+          // The evicted entry takes its derived state with it.
+          evictions_->add();
+          index_.erase(lru_.back()->snapshot->time);
+          lru_.pop_back();
+        }
+        lru_.push_front(std::make_shared<Entry>(landed));
+        index_.emplace(time, lru_.begin());
+      });
+}
 
-  // Cold miss (or in-region duplicate): materialize WITHOUT the lock, so
-  // distinct cold times build concurrently. Duplicate requests block on
-  // the future registered above, never on the mutex.
-  Handle handle;
-  try {
-    if (hook) hook(time);
-    auto snap = std::make_shared<SanSnapshot>();
-    {
-      obs::TraceSpan span("cache.materialize");
-      obs::ScopedTimer timer(materialize_ns_.get());
-      materializer->materialize(time, *snap);
-    }
-    handle = std::move(snap);
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (promise) inflight_.erase(time);
-      idle_.push_back(std::move(materializer));
-    }
-    if (promise) promise->set_exception(std::current_exception());
-    throw;
+SnapshotCache::Handle SnapshotCache::materialize(double time) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (idle_.empty()) {
+    idle_.push_back(std::make_unique<SanTimeline::Materializer>(timeline_));
   }
+  auto materializer = std::move(idle_.back());
+  idle_.pop_back();
+  lock.unlock();
+  auto snap = std::make_shared<SanSnapshot>();
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    idle_.push_back(std::move(materializer));
-    if (!promise) return handle;  // unregistered duplicate: no insert
-    if (lru_.size() >= capacity_) {
-      evictions_->add();
-      // Derived state is invalidated WITH its snapshot's eviction, so the
-      // side-cache never pins state for days the LRU has given up on.
-      derived_.erase(lru_.back().snapshot.get());
-      index_.erase(lru_.back().time);
-      lru_.pop_back();
-    }
-    lru_.push_front(Entry{time, handle});
-    index_.emplace(time, lru_.begin());
-    inflight_.erase(time);
+    obs::TraceSpan span("cache.materialize");
+    obs::ScopedTimer timer(materialize_ns_.get());
+    materializer->materialize(time, *snap);
   }
-  promise->set_value(handle);
-  return handle;
+  lock.lock();
+  idle_.push_back(std::move(materializer));
+  return snap;
+}
+
+template <typename T, typename Build>
+std::shared_ptr<const T> SnapshotCache::derive(const Handle& snap,
+                                               Slot<T> Entry::*slot,
+                                               Build&& build) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  // The entry holding exactly `snap` (same time, same object), else the
+  // tip slot. The local handle keeps the slot alive through the build.
+  EntryPtr entry;
+  if (const auto it = index_.find(snap->time);
+      it != index_.end() && (*it->second)->snapshot == snap) {
+    entry = *it->second;
+  } else if (tip_ != nullptr && tip_->snapshot == snap) {
+    entry = tip_;
+  } else if (live_ != nullptr && live_->tip() == snap) {
+    // The newest published epoch takes over the tip slot and releases the
+    // previous one. The slot holds the epoch strongly, so the live
+    // timeline cannot recycle its buffer while derived state refers to it.
+    entry = tip_ = std::make_shared<Entry>(snap);
+  } else {
+    // Not held by the cache: build privately, store nothing.
+    derived_.misses_->add();
+    lock.unlock();
+    return build();
+  }
+  Slot<T>& cell = (*entry).*slot;
+  (cell.valid() ? derived_.hits_ : derived_.misses_)->add();
+  return coalesce(lock, cell, build, [](const auto&) {});
+}
+
+std::shared_ptr<const apps::SybilLimit> DerivedCache::sybil(
+    const Handle& snap, const apps::SybilLimitOptions& options) {
+  return cache_.derive(snap, &SnapshotCache::Entry::sybil, [&] {
+    return std::make_shared<const apps::SybilLimit>(snap->social, options);
+  });
+}
+
+std::shared_ptr<const CommunityState> DerivedCache::community(
+    const Handle& snap, const apps::CommunityOptions& options) {
+  return cache_.derive(snap, &SnapshotCache::Entry::community, [&] {
+    auto state = std::make_shared<CommunityState>();
+    state->result = apps::detect_communities(*snap, options);
+    state->size.assign(state->result.community_count, 0);
+    for (const std::uint32_t label : state->result.label) ++state->size[label];
+    return std::shared_ptr<const CommunityState>(std::move(state));
+  });
+}
+
+std::shared_ptr<const InfluenceState> DerivedCache::influence(
+    const Handle& snap) {
+  return cache_.derive(snap, &SnapshotCache::Entry::influence, [&] {
+    return std::make_shared<const InfluenceState>(
+        InfluenceState{apps::best_first_pick(snap->social)});
+  });
 }
 
 std::size_t SnapshotCache::size() const {
@@ -144,18 +210,17 @@ void SnapshotCache::reset_stats() {
   coalesced_->reset();
   evictions_->reset();
   live_hits_->reset();
+  derived_.hits_->reset();
+  derived_.misses_->reset();
   peak_inflight_->reset();
   materialize_ns_->reset();
-  derived_.reset_stats();
 }
 
 void SnapshotCache::clear() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    lru_.clear();
-    index_.clear();
-  }
-  derived_.clear();
+  std::lock_guard<std::mutex> lock(mutex_);
+  lru_.clear();
+  index_.clear();
+  tip_.reset();
   reset_stats();
 }
 
@@ -166,13 +231,10 @@ void SnapshotCache::register_metrics(obs::Registry& registry,
   registry.attach_counter(prefix + ".coalesced", coalesced_);
   registry.attach_counter(prefix + ".evictions", evictions_);
   registry.attach_counter(prefix + ".live_hits", live_hits_);
+  registry.attach_counter(prefix + ".derived_hits", derived_.hits_);
+  registry.attach_counter(prefix + ".derived_misses", derived_.misses_);
   registry.attach_gauge(prefix + ".peak_inflight", peak_inflight_);
   registry.attach_histogram(prefix + ".materialize", materialize_ns_);
-  derived_.register_metrics(registry, prefix);
-}
-
-void SnapshotCache::bind_live(const LiveTipSource& live) {
-  bind_live(live, timeline_.max_time());
 }
 
 void SnapshotCache::bind_live(const LiveTipSource& live, double horizon) {

@@ -4,18 +4,21 @@
 // would still re-materialize the same CSR over and over. The cache keys
 // snapshots by their exact query time and hands them out as
 // shared_ptr<const SanSnapshot> (an evicted snapshot stays valid for every
-// query still holding it).
+// query still holding it). Each entry also carries its snapshot's derived
+// serving state (serve/derived_cache.hpp), so that state is dropped with
+// the entry.
 //
-// Concurrency: the mutex only guards the index — NEVER a materialization.
-// A cold miss registers a per-time in-flight shared_future, releases the
-// lock, and materializes on the calling thread, so DISTINCT cold times
-// build concurrently while duplicate requests for one time coalesce onto
-// that time's future (one materialization per time, stampede-proof). The
-// one exception: a duplicate request arriving on a core-substrate pool
-// lane (core::in_parallel_region()) must not block on a foreign build —
-// the builder may be queued behind that very pool job — so it builds a
-// private unregistered copy instead of waiting. Materializer scratch sets
-// are pooled: steady-state misses recycle buffer capacity, and the pool
+// Concurrency: the mutex only guards the index — NEVER a build. Every
+// build (a cold materialization or a derived slot) goes through one
+// coalescing step: a cold request registers an in-flight shared_future,
+// releases the lock, and builds on the calling thread, so DISTINCT builds
+// run concurrently while duplicate requests coalesce onto the registered
+// future (one build each, stampede-proof). The one exception: a duplicate
+// request arriving on a core-substrate pool lane
+// (core::in_parallel_region()) must not block on a foreign build — the
+// builder may be queued behind that very pool job — so it builds a private
+// unregistered copy instead of waiting. Materializer scratch sets are
+// pooled: steady-state misses recycle buffer capacity, and the pool
 // high-water mark equals the peak miss concurrency.
 #pragma once
 
@@ -27,15 +30,13 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "san/live_timeline.hpp"
 #include "san/timeline.hpp"
 #include "serve/derived_cache.hpp"
-
-namespace san {
-class LiveTipSource;
-}
 
 namespace san::serve {
 
@@ -56,9 +57,9 @@ class SnapshotCache {
     /// Requests past the live horizon, resolved to the published ingest
     /// epoch with one atomic load (never through the materializing path).
     std::uint64_t live_hits = 0;
-    /// Derived-state side-cache traffic (serve/derived_cache.hpp): a hit
-    /// means a sybil/community/influence query reused state already built
-    /// for its snapshot.
+    /// Derived-state traffic (serve/derived_cache.hpp): a hit means a
+    /// sybil/community/influence query reused state already built for its
+    /// snapshot; a miss built it (private builds included).
     std::uint64_t derived_hits = 0;
     std::uint64_t derived_misses = 0;
   };
@@ -77,10 +78,13 @@ class SnapshotCache {
   std::size_t size() const;
   Stats stats() const;
 
-  /// The per-snapshot derived-state side-cache (sybil topology, community
-  /// labels, influence first pick). Cells are keyed by snapshot identity
-  /// and dropped the moment at() evicts their snapshot; live-tip epochs
-  /// get cells too, bounded by the side-cache's own LRU (same capacity).
+  /// The per-snapshot derived state (sybil topology, community labels,
+  /// influence first pick). A request finds the entry that holds its
+  /// snapshot (same time, same object) or, for the latest published live
+  /// tip, the one tip slot, which holds that epoch strongly until a derived
+  /// request on a newer tip replaces it. A snapshot the cache does not hold
+  /// (evicted, a pool lane's private copy, a superseded tip) is built
+  /// privately and stored nowhere.
   DerivedCache& derived() { return derived_; }
 
   /// One coherent zero-point for every stat, including the lock-free
@@ -90,10 +94,10 @@ class SnapshotCache {
   /// (a stats() racing that could see one half reset and not the other).
   void reset_stats();
 
-  /// Drop every resident snapshot (outstanding shared_ptrs stay valid) and
-  /// zero the stats. In-flight materializations are not interrupted; each
-  /// lands in the cleared cache when it completes. Benches use this to
-  /// measure cold-start throughput.
+  /// Drop every resident snapshot and its derived state (outstanding
+  /// shared_ptrs stay valid) and zero the stats. In-flight materializations
+  /// are not interrupted; each lands in the cleared cache when it
+  /// completes. Benches use this to measure cold-start throughput.
   void clear();
 
   /// Attach this cache's per-instance telemetry to `registry` under
@@ -127,15 +131,31 @@ class SnapshotCache {
   /// historical time to the tip). Any LiveTipSource works — LiveTimeline
   /// and ShardedLiveTimeline both publish through the same
   /// atomic-shared_ptr tip.
-  void bind_live(const LiveTipSource& live);
+  void bind_live(const LiveTipSource& live) {
+    bind_live(live, timeline_.max_time());
+  }
   void bind_live(const LiveTipSource& live, double horizon);
 
  private:
-  struct Entry {
-    double time = 0.0;
-    std::shared_ptr<const SanSnapshot> snapshot;
-  };
+  friend class DerivedCache;
   using Handle = std::shared_ptr<const SanSnapshot>;
+  template <typename T>
+  using Slot = std::shared_future<std::shared_ptr<const T>>;
+  /// A resident snapshot and its derived slots (an invalid future means
+  /// "never requested"; a valid one is the possibly in-flight build).
+  struct Entry {
+    explicit Entry(Handle s) : snapshot(std::move(s)) {}
+    Handle snapshot;
+    Slot<apps::SybilLimit> sybil;
+    Slot<CommunityState> community;
+    Slot<InfluenceState> influence;
+  };
+  using EntryPtr = std::shared_ptr<Entry>;
+
+  Handle materialize(double time);
+  template <typename T, typename Build>
+  std::shared_ptr<const T> derive(const Handle& snap, Slot<T> Entry::*slot,
+                                  Build&& build);
 
   const SanTimeline& timeline_;
   const std::size_t capacity_;
@@ -156,15 +176,16 @@ class SnapshotCache {
   std::shared_ptr<obs::Histogram> materialize_ns_ =
       std::make_shared<obs::Histogram>();
 
-  DerivedCache derived_;
+  DerivedCache derived_{*this};
 
   mutable std::mutex mutex_;
   // Idle Materializer pool (guarded by mutex_); one is checked out per
-  // in-flight miss and returned when it lands.
+  // materialization and returned when it lands.
   std::vector<std::unique_ptr<SanTimeline::Materializer>> idle_;
-  std::unordered_map<double, std::shared_future<Handle>> inflight_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<double, std::list<Entry>::iterator> index_;
+  std::unordered_map<double, Slot<SanSnapshot>> inflight_;
+  std::list<EntryPtr> lru_;  // front = most recently used
+  std::unordered_map<double, std::list<EntryPtr>::iterator> index_;
+  EntryPtr tip_;  // derived slots of the latest live tip requested
   std::function<void(double)> miss_hook_;
 };
 

@@ -3,9 +3,10 @@
 // result must be byte-identical to the standalone apps/ formulation
 // computed directly on the resolved snapshot — swept across SAN_THREADS
 // and every SIMD level this host dispatches to, against frozen history
-// and the live tip alike. Also covers the derived-state side-cache:
-// hit/miss accounting, eviction coupling, and the live epoch-buffer
-// recycling hazard.
+// and the live tip alike. Also covers the derived state kept on the
+// snapshot cache's entries: hit/miss accounting, eviction with the entry,
+// the live tip slot (epoch buffers are never reused under it), and
+// private builds for snapshots the cache does not hold.
 #include "serve/query_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/community.hpp"
@@ -20,6 +22,7 @@
 #include "apps/sybil.hpp"
 #include "core/simd/simd.hpp"
 #include "core/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "san/live_timeline.hpp"
 #include "san/timeline.hpp"
 #include "san_testlib.hpp"
@@ -446,6 +449,171 @@ TEST(ServeApps, DerivedCellsEvictWithTheirSnapshot) {
   (void)engine.run_single(make(QueryKind::kSybil, 40.0, 3));
   EXPECT_EQ(cache.stats().derived_misses, 3u);
   EXPECT_EQ(cache.stats().derived_hits, 0u);
+}
+
+// ---- Derived state on the cache entries: tip slot and private builds. ----
+
+Query now_query(QueryKind kind, NodeId user) {
+  Query q = make(kind, std::numeric_limits<double>::infinity(), user);
+  q.now = true;
+  return q;
+}
+
+/// A live frontier that allocates every epoch afresh and keeps no buffer
+/// pool, so an epoch dies the moment its last holder drops it — which
+/// makes "the cache holds no reference" observable through a weak_ptr.
+class UnpooledTipSource : public san::LiveTipSource {
+ public:
+  explicit UnpooledTipSource(const SanTimeline& timeline)
+      : timeline_(timeline) {}
+
+  double ingest(const IngestBatch& batch) override {
+    tip_ = std::make_shared<const SanSnapshot>(
+        timeline_.snapshot_at(batch.tip));
+    return batch.tip;
+  }
+  void publish() override {}
+  Stats stats() const override { return {}; }
+  void register_metrics(san::obs::Registry&,
+                        const std::string&) const override {}
+  std::shared_ptr<const SanSnapshot> tip() const override { return tip_; }
+
+ private:
+  const SanTimeline& timeline_;
+  std::shared_ptr<const SanSnapshot> tip_;
+};
+
+TEST(ServeApps, LiveEpochDerivedStateIsSharedAcrossBatchesUntilNextEpoch) {
+  LiveRig rig;
+  SnapshotCache cache(rig.frozen, 4);
+  cache.bind_live(rig.live);
+  QueryEngine engine(cache);
+  const double horizon = rig.frozen.max_time();
+  const std::vector<Query> batch{now_query(QueryKind::kSybil, 3),
+                                 now_query(QueryKind::kSybil, 9)};
+
+  rig.ingest_day(horizon + 1.0, 3, 501);
+  (void)engine.run_batch(batch);
+  EXPECT_EQ(cache.stats().derived_misses, 1u);
+  (void)engine.run_batch(batch);  // same epoch: the tip slot's build
+  EXPECT_EQ(cache.stats().derived_misses, 1u);
+  EXPECT_EQ(cache.stats().derived_hits, 1u);
+
+  rig.ingest_day(horizon + 2.0, 3, 502);
+  const auto results = engine.run_batch(batch);  // next epoch rebuilds
+  EXPECT_EQ(cache.stats().derived_misses, 2u);
+  EXPECT_EQ(cache.stats().derived_hits, 1u);
+  (void)engine.run_batch(batch);  // ...once
+  EXPECT_EQ(cache.stats().derived_misses, 2u);
+  EXPECT_EQ(cache.stats().derived_hits, 2u);
+
+  SnapshotCache fresh_cache(rig.frozen, 4);
+  fresh_cache.bind_live(rig.live);
+  QueryEngine fresh(fresh_cache);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(results[i].to_line(batch[i]),
+              fresh.run_single(batch[i]).to_line(batch[i]));
+  }
+}
+
+TEST(ServeApps, DerivedRequestOnNewerEpochReleasesThePreviousEpoch) {
+  const auto net = small_gplus();
+  const SanTimeline frozen(net);
+  UnpooledTipSource live(frozen);
+  const double horizon = frozen.max_time();
+  IngestBatch batch;
+  batch.tip = horizon + 1.0;
+  live.ingest(batch);
+
+  SnapshotCache cache(frozen, 4);
+  cache.bind_live(live, horizon);
+  QueryEngine engine(cache);
+  const Query q = now_query(QueryKind::kCommunity, 3);
+  ASSERT_TRUE(engine.run_single(q).ok);
+
+  auto epoch_n = live.tip();
+  const std::weak_ptr<const SanSnapshot> weak_n = epoch_n;
+  batch.tip = horizon + 2.0;
+  live.ingest(batch);
+  epoch_n.reset();
+  // Until a derived request reaches the newer epoch, the tip slot keeps
+  // epoch N alive (so its buffer cannot be reused under the state).
+  EXPECT_FALSE(weak_n.expired());
+
+  ASSERT_TRUE(engine.run_single(q).ok);
+  EXPECT_TRUE(weak_n.expired());
+  EXPECT_EQ(cache.stats().derived_misses, 2u);
+}
+
+TEST(ServeApps, ConcurrentDerivedRequestsShareOneBuild) {
+  const auto net = small_gplus();
+  const SanTimeline timeline(net);
+  SnapshotCache cache(timeline, 2);
+  const QueryEngine engine(cache);
+  const auto snap = cache.at(98.0);
+
+  constexpr std::size_t kThreads = 4;
+  std::shared_ptr<const san::serve::CommunityState> got[kThreads];
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      got[i] = cache.derived().community(snap,
+                                         engine.options().derived.community);
+    });
+  }
+  for (auto& t : threads) t.join();
+  // Whether a request joined the in-flight build or found it done, every
+  // thread holds the one registered result.
+  for (std::size_t i = 1; i < kThreads; ++i) {
+    EXPECT_EQ(got[i].get(), got[0].get());
+  }
+  EXPECT_EQ(cache.stats().derived_misses, 1u);
+  EXPECT_EQ(cache.stats().derived_hits, kThreads - 1);
+}
+
+TEST(ServeApps, DerivedStateForEvictedHeldSnapshotIsBuiltPrivately) {
+  const auto net = small_gplus();
+  const SanTimeline timeline(net);
+  SnapshotCache cache(timeline, 1);
+  const QueryEngine engine(cache);
+  const auto& options = engine.options().derived;
+
+  const auto held = cache.at(40.0);
+  (void)cache.at(70.0);  // evicts 40.0; `held` stays valid
+  ASSERT_EQ(cache.stats().evictions, 1u);
+  ASSERT_EQ(cache.size(), 1u);
+
+  const auto community = cache.derived().community(held, options.community);
+  const auto oracle = san::apps::detect_communities(*held, options.community);
+  EXPECT_EQ(community->result.label, oracle.label);
+  EXPECT_EQ(community->result.community_count, oracle.community_count);
+
+  const auto sybil = cache.derived().sybil(held, options.sybil);
+  const san::apps::SybilLimit sybil_oracle(held->social, options.sybil);
+  std::vector<std::uint8_t> flags(sybil_oracle.topology().node_count(), 0);
+  flags[3] = 1;
+  EXPECT_EQ(sybil->evaluate(flags), sybil_oracle.evaluate(flags));
+
+  EXPECT_EQ(cache.derived().influence(held)->first_pick,
+            san::apps::best_first_pick(held->social));
+
+  // Nothing was stored: the resident set is unchanged, and asking again
+  // builds again.
+  EXPECT_EQ(cache.size(), 1u);
+  (void)cache.derived().influence(held);
+  EXPECT_EQ(cache.stats().derived_misses, 4u);
+  EXPECT_EQ(cache.stats().derived_hits, 0u);
+
+  // Re-materializing the day makes a new entry with a different object:
+  // the held copy still builds privately and leaves the entry's slot to
+  // the entry's own snapshot.
+  const auto resident = cache.at(40.0);
+  ASSERT_NE(resident.get(), held.get());
+  (void)cache.derived().influence(held);
+  (void)cache.derived().influence(resident);
+  (void)cache.derived().influence(resident);
+  EXPECT_EQ(cache.stats().derived_misses, 6u);
+  EXPECT_EQ(cache.stats().derived_hits, 1u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "san/san.hpp"
 #include "san/serialization.hpp"
@@ -116,6 +118,59 @@ TEST(Serialization, RejectsGarbage) {
   EXPECT_THROW(load_san(bad), std::runtime_error);
   std::stringstream truncated("SANv1\nsocial_nodes 5\n1.0\n");
   EXPECT_THROW(load_san(truncated), std::runtime_error);
+}
+
+TEST(Serialization, EveryProperPrefixFailsAsTruncatedNamingItsSection) {
+  // Fractional times matter here: a number cut short is usually still a
+  // number ("1.6" -> "1."), which must not load as a shortened time.
+  std::stringstream buffer;
+  save_san(small_san(), buffer);
+  const std::string full = buffer.str();
+  const std::size_t magic_line = full.find('\n') + 1;
+  const std::vector<std::string> sections{"social_nodes", "attribute_nodes",
+                                          "social_links", "attribute_links"};
+  std::vector<std::size_t> section_start;
+  for (const auto& name : sections) {
+    section_start.push_back(full.find("\n" + name + " ") + 1);
+  }
+
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    SCOPED_TRACE(testing::Message() << "prefix of " << cut << " bytes");
+    std::stringstream prefix(full.substr(0, cut));
+    std::string message;
+    try {
+      (void)load_san(prefix);
+      ADD_FAILURE() << "a proper prefix loaded";
+      continue;
+    } catch (const std::runtime_error& e) {
+      message = e.what();
+    }
+    if (cut < magic_line) continue;
+    // The section being read at the cut: the last one started by then.
+    std::size_t section = 0;
+    while (section + 1 < sections.size() &&
+           section_start[section + 1] <= cut) {
+      ++section;
+    }
+    EXPECT_NE(message.find("truncated"), std::string::npos) << message;
+    EXPECT_NE(message.find(sections[section]), std::string::npos) << message;
+  }
+
+  // A cut inside the second social link's time names that record.
+  const std::size_t link1 = full.find("1 0 1.6");
+  std::stringstream cut_link(full.substr(0, link1 + 6));
+  EXPECT_THROW(
+      {
+        try {
+          (void)load_san(cut_link);
+        } catch (const std::runtime_error& e) {
+          EXPECT_STREQ(e.what(), "load_san: truncated social_links record 1");
+          throw;
+        }
+      },
+      std::runtime_error);
+  std::stringstream whole(full);
+  EXPECT_NO_THROW((void)load_san(whole));
 }
 
 TEST(Serialization, FileRoundTrip) {

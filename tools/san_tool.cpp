@@ -37,6 +37,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -733,10 +734,28 @@ int cmd_serve(int argc, char** argv, const char* path) {
   return export_telemetry(registry, telemetry);
 }
 
-// The live serve/ingest loop, shared by the single-writer and sharded
-// paths (LiveTimeline and ShardedLiveTimeline expose the same ingest /
-// publish / tip_time / stats surface).
-int run_live_session(auto& live, LiveReplay& replay, const auto& steps,
+/// The live ingest frontier `live` and `listen` bind: a single-writer
+/// LiveTimeline, or a ShardedLiveTimeline when `shards` > 1. The seed
+/// epoch's tip is `start` (attribute catalog times may lie ahead).
+std::unique_ptr<LiveTipSource> make_live_frontier(
+    const SocialAttributeNetwork& seed, std::size_t shards,
+    std::size_t publish_every, double start) {
+  if (shards > 1) {
+    san::ShardedLiveTimelineOptions options;
+    options.shards = shards;
+    options.batches_per_epoch = publish_every;
+    options.initial_tip = start;
+    return std::make_unique<san::ShardedLiveTimeline>(seed, options);
+  }
+  LiveTimelineOptions options;
+  options.batches_per_epoch = publish_every;
+  options.initial_tip = start;
+  return std::make_unique<LiveTimeline>(seed, options);
+}
+
+// The live serve/ingest loop over either frontier.
+int run_live_session(LiveTipSource& live, LiveReplay& replay,
+                     const std::vector<serve::WorkloadStep>& steps,
                      serve::SnapshotCache& cache, std::size_t batch_size,
                      const TelemetryOptions& telemetry) {
   serve::QueryEngine engine(cache);
@@ -871,21 +890,10 @@ int cmd_live(int argc, char** argv, const char* path) {
   LiveReplay replay(net, start);
   const SanTimeline frozen(replay.seed);
   serve::SnapshotCache cache(frozen, cache_size);
-  if (shards > 1) {
-    san::ShardedLiveTimelineOptions live_options;
-    live_options.shards = shards;
-    live_options.batches_per_epoch = publish_every;
-    live_options.initial_tip = start;  // attr catalog times may lie ahead
-    san::ShardedLiveTimeline live(replay.seed, live_options);
-    cache.bind_live(live, start);
-    return run_live_session(live, replay, steps, cache, batch_size, telemetry);
-  }
-  LiveTimelineOptions live_options;
-  live_options.batches_per_epoch = publish_every;
-  live_options.initial_tip = start;  // attr catalog times may lie ahead
-  LiveTimeline live(replay.seed, live_options);
-  cache.bind_live(live, start);
-  return run_live_session(live, replay, steps, cache, batch_size, telemetry);
+  const auto live = make_live_frontier(replay.seed, shards, publish_every,
+                                       start);
+  cache.bind_live(*live, start);
+  return run_live_session(*live, replay, steps, cache, batch_size, telemetry);
 }
 
 /// The running server, for the SIGTERM/SIGINT handler. request_drain()
@@ -931,9 +939,8 @@ int run_server(serve::Server& server, obs::Registry& registry,
   return export_telemetry(registry, telemetry);
 }
 
-// The live-bound server session, shared by the single-writer and sharded
-// ingest paths the same way run_live_session is.
-int run_listen_live(auto& live, LiveReplay& replay,
+// The live-bound server session over either frontier.
+int run_listen_live(LiveTipSource& live, LiveReplay& replay,
                     serve::SnapshotCache& cache,
                     const serve::ServerOptions& options,
                     const TelemetryOptions& telemetry) {
@@ -1057,21 +1064,10 @@ int cmd_listen(int argc, char** argv, const char* path) {
   LiveReplay replay(net, start);
   const SanTimeline frozen(replay.seed);
   serve::SnapshotCache cache(frozen, cache_size);
-  if (shards > 1) {
-    san::ShardedLiveTimelineOptions live_options;
-    live_options.shards = shards;
-    live_options.batches_per_epoch = publish_every;
-    live_options.initial_tip = start;  // attr catalog times may lie ahead
-    san::ShardedLiveTimeline live(replay.seed, live_options);
-    cache.bind_live(live, start);
-    return run_listen_live(live, replay, cache, options, telemetry);
-  }
-  LiveTimelineOptions live_options;
-  live_options.batches_per_epoch = publish_every;
-  live_options.initial_tip = start;  // attr catalog times may lie ahead
-  LiveTimeline live(replay.seed, live_options);
-  cache.bind_live(live, start);
-  return run_listen_live(live, replay, cache, options, telemetry);
+  const auto live = make_live_frontier(replay.seed, shards, publish_every,
+                                       start);
+  cache.bind_live(*live, start);
+  return run_listen_live(*live, replay, cache, options, telemetry);
 }
 
 int cmd_genload(int argc, char** argv) {
