@@ -20,7 +20,33 @@ CommunityResult detect_communities(const SanSnapshot& snap,
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), NodeId{0});
 
-  std::unordered_map<std::uint32_t, double> votes;
+  // The voters of u, in summation order: social neighbors (weight 1),
+  // then attribute co-members (weight attribute_weight / members). The
+  // relation is symmetric: v votes for u exactly when u votes for v.
+  const auto for_each_voter = [&](NodeId u, auto&& fn) {
+    for (const NodeId v : snap.social.neighbors(u)) fn(v, 1.0);
+    if (options.attribute_weight <= 0.0) return;
+    for (const AttrId x : snap.attributes_of(u)) {
+      const auto members = snap.members_of(x);
+      if (members.size() < 2) continue;
+      const double w =
+          options.attribute_weight / static_cast<double>(members.size());
+      for (const NodeId v : members) {
+        if (v != u) fn(v, w);
+      }
+    }
+  };
+
+  // Dense vote tally: votes[label] accumulates in voter order, `voted`
+  // marks labels with a tally, and only the touched entries are reset
+  // after each node.
+  std::vector<double> votes(n, 0.0);
+  std::vector<char> voted(n, 0);
+  std::vector<std::uint32_t> touched;
+  // A node's pick depends only on its voters' labels, never on its own, so
+  // a node none of whose voters relabeled since its last visit would pick
+  // its current label again: `stale` marks the nodes worth revisiting.
+  std::vector<char> stale(n, 1);
   bool changed = true;
   for (int iter = 0; iter < options.max_iterations && changed; ++iter) {
     result.iterations = iter + 1;
@@ -30,47 +56,49 @@ CommunityResult detect_communities(const SanSnapshot& snap,
       std::swap(order[i - 1], order[rng.uniform_index(i)]);
     }
     for (const NodeId u : order) {
-      votes.clear();
-      for (const NodeId v : snap.social.neighbors(u)) {
-        votes[result.label[v]] += 1.0;
-      }
-      if (options.attribute_weight > 0.0) {
-        for (const AttrId x : snap.attributes_of(u)) {
-          const auto members = snap.members_of(x);
-          if (members.size() < 2) continue;
-          const double w =
-              options.attribute_weight / static_cast<double>(members.size());
-          for (const NodeId v : members) {
-            if (v != u) votes[result.label[v]] += w;
-          }
+      if (!stale[u]) continue;
+      stale[u] = 0;
+      for_each_voter(u, [&](NodeId v, double weight) {
+        const std::uint32_t label = result.label[v];
+        if (!voted[label]) {
+          voted[label] = 1;
+          touched.push_back(label);
         }
-      }
-      if (votes.empty()) continue;
-      // Highest vote; break ties by smallest label for determinism.
+        votes[label] += weight;
+      });
+      if (touched.empty()) continue;
+      // Highest vote; break ties by smallest label. That is a total order,
+      // so the scan order of the touched labels does not matter.
       std::uint32_t best = result.label[u];
       double best_votes = -1.0;
-      for (const auto& [label, weight] : votes) {
+      for (const std::uint32_t label : touched) {
+        const double weight = votes[label];
         if (weight > best_votes ||
             (weight == best_votes && label < best)) {
           best = label;
           best_votes = weight;
         }
+        votes[label] = 0.0;
+        voted[label] = 0;
       }
+      touched.clear();
       if (best != result.label[u]) {
         result.label[u] = best;
         changed = true;
+        for_each_voter(u, [&](NodeId v, double) { stale[v] = 1; });
       }
     }
   }
 
-  // Compact labels to dense ids.
-  std::unordered_map<std::uint32_t, std::uint32_t> remap;
+  // Compact labels to dense ids in order of first occurrence.
+  constexpr std::uint32_t kUnmapped = ~std::uint32_t{0};
+  std::vector<std::uint32_t> remap(n, kUnmapped);
+  std::uint32_t next = 0;
   for (auto& label : result.label) {
-    const auto [it, inserted] =
-        remap.emplace(label, static_cast<std::uint32_t>(remap.size()));
-    label = it->second;
+    if (remap[label] == kUnmapped) remap[label] = next++;
+    label = remap[label];
   }
-  result.community_count = remap.size();
+  result.community_count = next;
   return result;
 }
 

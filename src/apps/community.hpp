@@ -3,11 +3,17 @@
 // which inspires us to do dynamic community detection") and via [62]
 // (structural/attribute clustering).
 //
-// Implementation: synchronous-free label propagation over the undirected
-// social view, with an attribute-aware variant that also propagates labels
-// through shared attributes (each attribute community votes with a weight
-// that shrinks with its size, so "city" mega-attributes don't glue the
-// graph together).
+// Implementation: asynchronous, random-order label propagation (Raghavan et
+// al., Phys. Rev. E 76, 2007) over the undirected social view — each sweep
+// visits the nodes in a freshly shuffled order and a node adopts its
+// neighbors' most-voted current label at once. An attribute-aware variant
+// also propagates labels through shared attributes (each attribute
+// community votes with a weight that shrinks with its size, so "city"
+// mega-attributes don't glue the graph together). Votes tally in a dense
+// per-label array, so one sweep costs at most O(n + links); the
+// attribute-aware variant adds the sum over attributes of members^2. A
+// sweep skips nodes none of whose voters relabeled since their last visit
+// (they would keep their label), so late sweeps cost far less.
 #pragma once
 
 #include <cstdint>

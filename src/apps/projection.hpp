@@ -15,7 +15,9 @@ namespace san::apps {
 /// Symmetric graph containing each undirected link {u, v} (in both
 /// directions) for which neither endpoint has exhausted `degree_bound`.
 /// Links are admitted in ascending (u, v) order, mirroring a deterministic
-/// truncation of oversized adjacency lists.
+/// truncation of oversized adjacency lists. The build reads the input's
+/// sorted neighbor view and fills the symmetric adjacency by counting:
+/// O(n + links), with no comparison sort.
 graph::CsrGraph degree_bounded_undirected(const graph::CsrGraph& social,
                                           std::size_t degree_bound);
 

@@ -14,7 +14,8 @@
 //
 // Determinism contract: every builder is a deterministic serial function
 // of the immutable snapshot and the options fixed at engine construction
-// (SybilLimit's projection, seeded label propagation, a max-degree scan),
+// (SybilLimit's O(n + links) counting projection plus its routes, seeded
+// label propagation at most O(n + links) per sweep, a max-degree scan),
 // so the state is byte-identical WHEREVER it is built — on a cache hit, a
 // coalesced wait, or a private build that stores nothing (a snapshot the
 // cache does not hold, or a pool lane that must not block on a foreign
@@ -82,6 +83,14 @@ class DerivedCache {
   SnapshotCache& cache_;
   std::shared_ptr<obs::Counter> hits_ = std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Counter> misses_ = std::make_shared<obs::Counter>();
+  // Build durations per kind (every build, private ones included),
+  // recorded only while obs::timing_enabled().
+  std::shared_ptr<obs::Histogram> sybil_ns_ =
+      std::make_shared<obs::Histogram>();
+  std::shared_ptr<obs::Histogram> community_ns_ =
+      std::make_shared<obs::Histogram>();
+  std::shared_ptr<obs::Histogram> influence_ns_ =
+      std::make_shared<obs::Histogram>();
 };
 
 }  // namespace san::serve

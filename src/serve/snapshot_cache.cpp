@@ -163,6 +163,8 @@ std::shared_ptr<const T> SnapshotCache::derive(const Handle& snap,
 std::shared_ptr<const apps::SybilLimit> DerivedCache::sybil(
     const Handle& snap, const apps::SybilLimitOptions& options) {
   return cache_.derive(snap, &SnapshotCache::Entry::sybil, [&] {
+    obs::TraceSpan span("cache.derive.sybil");
+    obs::ScopedTimer timer(sybil_ns_.get());
     return std::make_shared<const apps::SybilLimit>(snap->social, options);
   });
 }
@@ -170,6 +172,8 @@ std::shared_ptr<const apps::SybilLimit> DerivedCache::sybil(
 std::shared_ptr<const CommunityState> DerivedCache::community(
     const Handle& snap, const apps::CommunityOptions& options) {
   return cache_.derive(snap, &SnapshotCache::Entry::community, [&] {
+    obs::TraceSpan span("cache.derive.community");
+    obs::ScopedTimer timer(community_ns_.get());
     auto state = std::make_shared<CommunityState>();
     state->result = apps::detect_communities(*snap, options);
     state->size.assign(state->result.community_count, 0);
@@ -181,6 +185,8 @@ std::shared_ptr<const CommunityState> DerivedCache::community(
 std::shared_ptr<const InfluenceState> DerivedCache::influence(
     const Handle& snap) {
   return cache_.derive(snap, &SnapshotCache::Entry::influence, [&] {
+    obs::TraceSpan span("cache.derive.influence");
+    obs::ScopedTimer timer(influence_ns_.get());
     return std::make_shared<const InfluenceState>(
         InfluenceState{apps::best_first_pick(snap->social)});
   });
@@ -214,6 +220,9 @@ void SnapshotCache::reset_stats() {
   derived_.misses_->reset();
   peak_inflight_->reset();
   materialize_ns_->reset();
+  derived_.sybil_ns_->reset();
+  derived_.community_ns_->reset();
+  derived_.influence_ns_->reset();
 }
 
 void SnapshotCache::clear() {
@@ -235,6 +244,11 @@ void SnapshotCache::register_metrics(obs::Registry& registry,
   registry.attach_counter(prefix + ".derived_misses", derived_.misses_);
   registry.attach_gauge(prefix + ".peak_inflight", peak_inflight_);
   registry.attach_histogram(prefix + ".materialize", materialize_ns_);
+  registry.attach_histogram(prefix + ".derive.sybil", derived_.sybil_ns_);
+  registry.attach_histogram(prefix + ".derive.community",
+                            derived_.community_ns_);
+  registry.attach_histogram(prefix + ".derive.influence",
+                            derived_.influence_ns_);
 }
 
 void SnapshotCache::bind_live(const LiveTipSource& live, double horizon) {

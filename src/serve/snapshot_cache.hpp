@@ -102,8 +102,10 @@ class SnapshotCache {
 
   /// Attach this cache's per-instance telemetry to `registry` under
   /// `prefix`: the Stats counters plus a `<prefix>.materialize` latency
-  /// histogram (cold-miss build duration, recorded only while
-  /// obs::timing_enabled()). Attach-only — recording never touches the
+  /// histogram (cold-miss build duration) and one
+  /// `<prefix>.derive.{sybil,community,influence}` histogram per derived
+  /// kind (every derived build, private ones included), all recorded only
+  /// while obs::timing_enabled(). Attach-only — recording never touches the
   /// registry, and two caches registered under different prefixes stay
   /// fully independent.
   void register_metrics(obs::Registry& registry,

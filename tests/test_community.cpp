@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "san/san.hpp"
 #include "san/snapshot.hpp"
+#include "stats/rng.hpp"
 
 namespace {
 
@@ -12,10 +18,107 @@ using san::AttributeType;
 using san::NodeId;
 using san::SocialAttributeNetwork;
 using san::snapshot_full;
+using san::SanSnapshot;
 using san::apps::CommunityOptions;
+using san::apps::CommunityResult;
 using san::apps::detect_communities;
 using san::apps::modularity;
 using san::apps::normalized_mutual_information;
+
+/// The hash-map formulation the shipped label propagation replaced: votes
+/// tally in an unordered_map cleared per node visit, and the final
+/// compaction remaps through another. Kept as the identity oracle.
+CommunityResult reference_communities(const SanSnapshot& snap,
+                                      const CommunityOptions& options) {
+  const std::size_t n = snap.social_node_count();
+  CommunityResult result;
+  result.label.resize(n);
+  std::iota(result.label.begin(), result.label.end(), 0u);
+  if (n == 0) return result;
+
+  san::stats::Rng rng(options.seed);
+  std::vector<NodeId> order(n);
+  std::iota(order.begin(), order.end(), NodeId{0});
+
+  std::unordered_map<std::uint32_t, double> votes;
+  bool changed = true;
+  for (int iter = 0; iter < options.max_iterations && changed; ++iter) {
+    result.iterations = iter + 1;
+    changed = false;
+    for (std::size_t i = n; i > 1; --i) {
+      std::swap(order[i - 1], order[rng.uniform_index(i)]);
+    }
+    for (const NodeId u : order) {
+      votes.clear();
+      for (const NodeId v : snap.social.neighbors(u)) {
+        votes[result.label[v]] += 1.0;
+      }
+      if (options.attribute_weight > 0.0) {
+        for (const AttrId x : snap.attributes_of(u)) {
+          const auto members = snap.members_of(x);
+          if (members.size() < 2) continue;
+          const double w =
+              options.attribute_weight / static_cast<double>(members.size());
+          for (const NodeId v : members) {
+            if (v != u) votes[result.label[v]] += w;
+          }
+        }
+      }
+      if (votes.empty()) continue;
+      std::uint32_t best = result.label[u];
+      double best_votes = -1.0;
+      for (const auto& [label, weight] : votes) {
+        if (weight > best_votes || (weight == best_votes && label < best)) {
+          best = label;
+          best_votes = weight;
+        }
+      }
+      if (best != result.label[u]) {
+        result.label[u] = best;
+        changed = true;
+      }
+    }
+  }
+
+  std::unordered_map<std::uint32_t, std::uint32_t> remap;
+  for (auto& label : result.label) {
+    const auto [it, inserted] =
+        remap.emplace(label, static_cast<std::uint32_t>(remap.size()));
+    label = it->second;
+  }
+  result.community_count = remap.size();
+  return result;
+}
+
+/// Seeded SAN: sparse random social links (some nodes left bare), a mega
+/// attribute shared by most nodes, mid-sized attributes, and singleton
+/// attributes whose lone member casts no attribute vote.
+SocialAttributeNetwork random_san(std::size_t n, std::uint64_t seed) {
+  san::stats::Rng rng(seed);
+  SocialAttributeNetwork net;
+  for (std::size_t i = 0; i < n; ++i) net.add_social_node(0.0);
+  if (n == 0) return net;
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    const auto u = static_cast<NodeId>(rng.uniform_index(n));
+    const auto v = static_cast<NodeId>(rng.uniform_index(n));
+    if (u != v) net.add_social_link(u, v);
+  }
+  const AttrId mega = net.add_attribute_node(AttributeType::kCity, "mega");
+  for (NodeId u = 0; u < n; ++u) {
+    if (rng.bernoulli(0.8)) net.add_attribute_link(u, mega);
+  }
+  for (std::size_t a = 0; a < n / 8 + 1; ++a) {
+    const AttrId mid = net.add_attribute_node(AttributeType::kEmployer);
+    for (int k = 0; k < 6; ++k) {
+      net.add_attribute_link(static_cast<NodeId>(rng.uniform_index(n)), mid);
+    }
+  }
+  for (std::size_t a = 0; a < n / 10 + 1; ++a) {
+    const AttrId single = net.add_attribute_node(AttributeType::kSchool);
+    net.add_attribute_link(static_cast<NodeId>(rng.uniform_index(n)), single);
+  }
+  return net;
+}
 
 /// Two mutually-meshed cliques joined by a single bridge link.
 SocialAttributeNetwork two_cliques(bool with_attributes) {
@@ -114,6 +217,27 @@ TEST(Community, EmptyNetworkSafe) {
   const auto result = detect_communities(snap);
   EXPECT_EQ(result.community_count, 0u);
   EXPECT_DOUBLE_EQ(modularity(snap, result.label), 0.0);
+}
+
+TEST(Community, IdenticalToHashMapFormulationOnRandomSans) {
+  std::uint64_t seed = 40;
+  for (const std::size_t n : {0u, 1u, 2u, 30u, 300u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const auto snap = snapshot_full(random_san(n, ++seed));
+      for (const double attribute_weight : {0.0, 0.5}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " seed=" << seed
+                                        << " weight=" << attribute_weight);
+        CommunityOptions options;
+        options.attribute_weight = attribute_weight;
+        options.seed = seed;
+        const auto got = detect_communities(snap, options);
+        const auto want = reference_communities(snap, options);
+        EXPECT_EQ(got.label, want.label);
+        EXPECT_EQ(got.community_count, want.community_count);
+        EXPECT_EQ(got.iterations, want.iterations);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,16 +2,96 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "graph/csr.hpp"
+#include "stats/rng.hpp"
 
 namespace {
 
 using san::apps::degree_bounded_undirected;
 using san::graph::CsrGraph;
 using san::graph::NodeId;
+
+/// The comparison-sort formulation the shipped projection replaced:
+/// gather canonical (u < v) pairs from the out lists (has_edge dedups
+/// reciprocal pairs), sort + unique, admit greedily, then canonicalize
+/// both directions again through from_edges. Kept as the identity oracle.
+CsrGraph reference_projection(const CsrGraph& social,
+                              std::size_t degree_bound) {
+  if (degree_bound == 0) throw std::invalid_argument("bound must be > 0");
+  const std::size_t n = social.node_count();
+  std::vector<std::pair<NodeId, NodeId>> undirected;
+  for (NodeId u = 0; u < n; ++u) {
+    for (const NodeId v : social.out(u)) {
+      if (u < v) {
+        undirected.emplace_back(u, v);
+      } else if (!social.has_edge(v, u)) {
+        undirected.emplace_back(v, u);
+      }
+    }
+  }
+  std::sort(undirected.begin(), undirected.end());
+  undirected.erase(std::unique(undirected.begin(), undirected.end()),
+                   undirected.end());
+  std::vector<std::size_t> degree(n, 0);
+  std::vector<std::pair<NodeId, NodeId>> kept;
+  for (const auto& [u, v] : undirected) {
+    if (degree[u] >= degree_bound || degree[v] >= degree_bound) continue;
+    ++degree[u];
+    ++degree[v];
+    kept.emplace_back(u, v);
+    kept.emplace_back(v, u);
+  }
+  return CsrGraph::from_edges(n, kept);
+}
+
+/// Seeded digraph mixing reciprocal pairs, one-way links in both id
+/// directions, a few hubs linked to a large share of the nodes (above a
+/// bound of 100 at this size) and nodes left isolated.
+CsrGraph random_digraph(std::size_t n, std::uint64_t seed) {
+  san::stats::Rng rng(seed);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  if (n < 2) return CsrGraph::from_edges(n, edges);
+  const std::size_t isolated = n / 10;  // ids [n - isolated, n) stay bare
+  const std::size_t live = n - isolated;
+  const auto pick = [&] {
+    return static_cast<NodeId>(rng.uniform_index(live));
+  };
+  for (std::size_t i = 0; i < 3 * live; ++i) {
+    const NodeId u = pick();
+    const NodeId v = pick();
+    if (u == v) continue;
+    edges.emplace_back(u, v);
+    if (rng.bernoulli(0.3)) edges.emplace_back(v, u);  // reciprocal pair
+  }
+  for (NodeId hub = 0; hub < std::min<std::size_t>(3, live); ++hub) {
+    for (NodeId v = 0; v < live; ++v) {
+      if (v == hub || !rng.bernoulli(0.6)) continue;
+      // Hub links point both out of and into the hub.
+      if (rng.bernoulli(0.5)) {
+        edges.emplace_back(hub, v);
+      } else {
+        edges.emplace_back(v, hub);
+      }
+    }
+  }
+  return CsrGraph::from_edges(n, edges);
+}
+
+template <typename View>
+void expect_same_views(const CsrGraph& got, const CsrGraph& want, View view,
+                       const char* name) {
+  for (NodeId u = 0; u < want.node_count(); ++u) {
+    const auto a = (got.*view)(u);
+    const auto b = (want.*view)(u);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << name << " of node " << u;
+  }
+}
 
 TEST(Projection, SymmetricOutput) {
   const std::vector<std::pair<NodeId, NodeId>> edges = {{0, 1}, {2, 1}, {2, 3}};
@@ -60,6 +140,37 @@ TEST(Projection, DeterministicAdmission) {
   const auto sa = a.out(0);
   const auto sb = b.out(0);
   EXPECT_TRUE(std::equal(sa.begin(), sa.end(), sb.begin()));
+}
+
+TEST(Projection, IdenticalToSortingFormulationOnRandomDigraphs) {
+  std::uint64_t seed = 11;
+  for (const std::size_t n : {0u, 1u, 2u, 17u, 250u, 400u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const CsrGraph social = random_digraph(n, ++seed);
+      for (const std::size_t bound : {1u, 3u, 100u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << n << " seed=" << seed << " bound=" << bound);
+        const CsrGraph got = degree_bounded_undirected(social, bound);
+        const CsrGraph want = reference_projection(social, bound);
+        ASSERT_EQ(got.node_count(), want.node_count());
+        ASSERT_EQ(got.edge_count(), want.edge_count());
+        expect_same_views(got, want, &CsrGraph::out, "out");
+        expect_same_views(got, want, &CsrGraph::in, "in");
+        expect_same_views(got, want, &CsrGraph::neighbors, "neighbors");
+      }
+    }
+  }
+}
+
+TEST(Projection, RandomDigraphsExerciseTheBoundAndIsolatedNodes) {
+  // Guards the identity test's inputs: at bound 100 some hub is truncated,
+  // and the isolated tail stays empty.
+  const CsrGraph social = random_digraph(400, 12);
+  EXPECT_GT(social.degree(0), 100u);
+  const CsrGraph projected = degree_bounded_undirected(social, 100);
+  EXPECT_EQ(projected.degree(0), 100u);
+  EXPECT_EQ(social.degree(399), 0u);
+  EXPECT_EQ(projected.degree(399), 0u);
 }
 
 }  // namespace

@@ -451,6 +451,48 @@ TEST(ServeApps, DerivedCellsEvictWithTheirSnapshot) {
   EXPECT_EQ(cache.stats().derived_hits, 0u);
 }
 
+TEST(ServeApps, DeriveHistogramsCountEveryBuildPerKind) {
+  const auto net = small_gplus();
+  const SanTimeline timeline(net);
+  SnapshotCache cache(timeline, 4);
+  QueryEngine engine(cache);
+  san::obs::Registry registry;
+  cache.register_metrics(registry, "cache");
+  const bool was_timing = san::obs::timing_enabled();
+  san::obs::set_timing_enabled(true);
+
+  // Sybil and community on two days, influence on one, each asked twice:
+  // builds are 2 / 2 / 1, and the repeats are hits that time nothing.
+  std::vector<Query> batch;
+  for (const double day : {40.0, 98.0}) {
+    for (const NodeId user : {3u, 9u}) {
+      batch.push_back(make(QueryKind::kSybil, day, user));
+      batch.push_back(make(QueryKind::kCommunity, day, user));
+    }
+  }
+  Query influence;
+  influence.kind = QueryKind::kInfluence;
+  influence.time = 98.0;
+  influence.k = 1;
+  batch.push_back(influence);
+  batch.push_back(influence);
+  (void)engine.run_batch(batch);
+  (void)engine.run_batch(batch);
+  san::obs::set_timing_enabled(was_timing);
+
+  const auto snapshot = registry.snapshot();
+  const auto builds = [&](const std::string& kind) {
+    for (const auto& [name, value] : snapshot) {
+      if (name == "cache.derive." + kind + ".count") return value;
+    }
+    return -1.0;
+  };
+  EXPECT_EQ(builds("sybil"), 2.0);
+  EXPECT_EQ(builds("community"), 2.0);
+  EXPECT_EQ(builds("influence"), 1.0);
+  EXPECT_EQ(cache.stats().derived_misses, 5u);
+}
+
 // ---- Derived state on the cache entries: tip slot and private builds. ----
 
 Query now_query(QueryKind kind, NodeId user) {

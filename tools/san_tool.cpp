@@ -197,8 +197,9 @@ constexpr SubcommandDoc kSubcommands[] = {
      "                      per-query-type p50/p90/p99/p999 service\n"
      "                      latency, batch admission-to-completion\n"
      "                      latency, cache hit/miss/coalesce/eviction\n"
-     "                      counters, and materialize-duration\n"
-     "                      percentiles (enables latency capture)\n"
+     "                      counters, and materialize and per-kind\n"
+     "                      derived-build duration percentiles\n"
+     "                      (enables latency capture)\n"
      "  --trace FILE        write a Chrome trace-event JSON of the\n"
      "                      recorded spans on exit; load it in Perfetto\n"
      "                      or chrome://tracing\n"
