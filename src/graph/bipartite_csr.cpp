@@ -325,6 +325,108 @@ bool BipartiteCsr::append_links(std::size_t new_left_count,
   return true;
 }
 
+void BipartiteCsr::extend_from(const BipartiteCsr& base,
+                               std::size_t left_count,
+                               std::size_t right_count,
+                               std::span<const NodeId> users,
+                               std::span<const AttrId> attrs) {
+  if (this == &base) {
+    throw std::invalid_argument(
+        "BipartiteCsr::extend_from: base is this structure");
+  }
+  if (users.size() != attrs.size()) {
+    throw std::invalid_argument("BipartiteCsr: users/attrs size mismatch");
+  }
+  if (left_count < base.left_count_ || right_count < base.right_count_) {
+    throw std::invalid_argument(
+        "BipartiteCsr::extend_from: node counts may not shrink");
+  }
+  const std::size_t m = users.size();
+  for (std::size_t i = 0; i < m; ++i) {
+    if (users[i] >= left_count || attrs[i] >= right_count) {
+      throw std::out_of_range(
+          "BipartiteCsr::extend_from: link endpoint out of range");
+    }
+  }
+
+  // Batch runs as dense prefixes. A stable scatter by attribute keeps each
+  // attribute's new members in input (time) order; walking those runs in
+  // ascending attribute order and scattering by user gives each user its
+  // new attributes ascending, ready for one merge.
+  std::vector<std::uint64_t> add_right(right_count + 1, 0);
+  std::vector<std::uint64_t> add_left(left_count + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    ++add_right[attrs[i] + 1];
+    ++add_left[users[i] + 1];
+  }
+  for (std::size_t a = 0; a < right_count; ++a) {
+    add_right[a + 1] += add_right[a];
+  }
+  for (std::size_t u = 0; u < left_count; ++u) add_left[u + 1] += add_left[u];
+  std::vector<NodeId> batch_members(m);
+  std::vector<AttrId> batch_attrs(m);
+  {
+    std::vector<std::uint64_t> cursor(add_right.begin(), add_right.end() - 1);
+    for (std::size_t i = 0; i < m; ++i) {
+      batch_members[cursor[attrs[i]]++] = users[i];
+    }
+    cursor.assign(add_left.begin(), add_left.end() - 1);
+    for (std::size_t a = 0; a < right_count; ++a) {
+      for (std::uint64_t p = add_right[a]; p < add_right[a + 1]; ++p) {
+        batch_attrs[cursor[batch_members[p]]++] = static_cast<AttrId>(a);
+      }
+    }
+  }
+
+  // The dense layout rebuild_from_links produces without slack.
+  const auto layout = [](std::size_t count, std::size_t base_count,
+                         const std::vector<std::uint32_t>& base_len,
+                         const std::vector<std::uint64_t>& add,
+                         std::vector<std::uint64_t>& start,
+                         std::vector<std::uint32_t>& cap,
+                         std::vector<std::uint32_t>& len) {
+    start.resize(count);
+    cap.resize(count);
+    len.resize(count);
+    std::uint64_t tail = 0;
+    for (std::size_t x = 0; x < count; ++x) {
+      const std::uint64_t old = x < base_count ? base_len[x] : 0;
+      start[x] = tail;
+      len[x] = cap[x] = static_cast<std::uint32_t>(old + add[x + 1] - add[x]);
+      tail += cap[x];
+    }
+    return tail;
+  };
+  right_targets_.resize(layout(right_count, base.right_count_,
+                               base.right_len_, add_right, right_start_,
+                               right_cap_, right_len_));
+  left_targets_.resize(layout(left_count, base.left_count_, base.left_len_,
+                              add_left, left_start_, left_cap_, left_len_));
+  left_count_ = left_count;
+  right_count_ = right_count;
+  link_count_ = base.link_count_ + m;
+  left_waste_ = 0;
+  right_waste_ = 0;
+
+  core::parallel_for(right_count, [&](std::size_t a) {
+    const auto old = a < base.right_count_
+                         ? base.members_of(static_cast<AttrId>(a))
+                         : std::span<const NodeId>{};
+    NodeId* out = std::copy(old.begin(), old.end(),
+                            right_targets_.data() + right_start_[a]);
+    std::copy(batch_members.data() + add_right[a],
+              batch_members.data() + add_right[a + 1], out);
+  });
+  core::parallel_for(left_count, [&](std::size_t u) {
+    const auto old = u < base.left_count_
+                         ? base.attrs_of(static_cast<NodeId>(u))
+                         : std::span<const AttrId>{};
+    std::merge(old.begin(), old.end(), batch_attrs.data() + add_left[u],
+               batch_attrs.data() + add_left[u + 1],
+               left_targets_.data() + left_start_[u]);
+  });
+}
+
 std::span<const AttrId> BipartiteCsr::attrs_of(NodeId u) const {
   if (u >= left_count_) {
     throw std::out_of_range("BipartiteCsr: unknown left node");

@@ -21,6 +21,9 @@
 // live links does append refuse and the caller compacts with a full
 // rebuild. `rebuild_from_links` reuses the arrays' capacity, so a snapshot
 // sweep touches the allocator only while the arrays are still growing.
+// `extend_from` writes a dense copy of another structure plus a batch of
+// later links (copies and per-node merges, no counting rebuild) — the
+// SnapshotCache delta-miss path.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +81,20 @@ class BipartiteCsr {
                     std::span<const AttrId> attrs) {
     return append_links(new_left_count, right_count_, users, attrs);
   }
+
+  /// Rebuild this structure, densely packed, as `base` plus a batch of
+  /// new links under the append_links contract (input = time order, every
+  /// link later than those in `base`, unique against them; the id spaces
+  /// may grow to `left_count`/`right_count`). The result is
+  /// indistinguishable from a dense rebuild_from_links of base's links
+  /// followed by the batch: members_of(a) is a's base members then its new
+  /// ones in input order, attrs_of(u) the merge of u's base attributes with
+  /// its new ones. `base` is only read and must not be this structure;
+  /// per-node writes are disjoint, so the result is byte-identical at any
+  /// SAN_THREADS count.
+  void extend_from(const BipartiteCsr& base, std::size_t left_count,
+                   std::size_t right_count, std::span<const NodeId> users,
+                   std::span<const AttrId> attrs);
 
   std::size_t left_count() const { return left_count_; }
   std::size_t right_count() const { return right_count_; }

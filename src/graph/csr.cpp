@@ -12,6 +12,28 @@ namespace {
 
 constexpr std::uint64_t kNoReloc = std::numeric_limits<std::uint64_t>::max();
 
+/// The batch contract shared by append_sorted_links and extend_from: ids
+/// below `node_count`, no self loops, strictly ascending (src, dst).
+void check_link_batch(std::size_t node_count, std::span<const NodeId> srcs,
+                      std::span<const NodeId> dsts) {
+  if (srcs.size() != dsts.size()) {
+    throw std::invalid_argument("CsrGraph: srcs/dsts size mismatch");
+  }
+  for (std::size_t i = 0; i < srcs.size(); ++i) {
+    if (srcs[i] >= node_count || dsts[i] >= node_count) {
+      throw std::out_of_range("CsrGraph: batch node id out of range");
+    }
+    if (srcs[i] == dsts[i]) {
+      throw std::invalid_argument("CsrGraph: batch self loop");
+    }
+    if (i > 0 && (srcs[i] < srcs[i - 1] ||
+                  (srcs[i] == srcs[i - 1] && dsts[i] <= dsts[i - 1]))) {
+      throw std::invalid_argument(
+          "CsrGraph: batch edges not sorted by (src, dst)");
+    }
+  }
+}
+
 /// Sort-and-dedup an edge list; drops self loops.
 void canonicalize(std::vector<std::pair<NodeId, NodeId>>& edges) {
   edges.erase(std::remove_if(edges.begin(), edges.end(),
@@ -250,27 +272,12 @@ void CsrGraph::adopt_sorted_adjacency(std::size_t node_count,
 bool CsrGraph::append_sorted_links(std::size_t new_node_count,
                                    std::span<const NodeId> srcs,
                                    std::span<const NodeId> dsts) {
-  if (srcs.size() != dsts.size()) {
-    throw std::invalid_argument("CsrGraph::append: srcs/dsts size mismatch");
-  }
   if (new_node_count < node_count_) {
     throw std::invalid_argument("CsrGraph::append: node count may not shrink");
   }
   const std::size_t m = srcs.size();
   const std::size_t old_n = node_count_;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (srcs[i] >= new_node_count || dsts[i] >= new_node_count) {
-      throw std::out_of_range("CsrGraph::append: node id out of range");
-    }
-    if (srcs[i] == dsts[i]) {
-      throw std::invalid_argument("CsrGraph::append: self loop");
-    }
-    if (i > 0 && (srcs[i] < srcs[i - 1] ||
-                  (srcs[i] == srcs[i - 1] && dsts[i] <= dsts[i - 1]))) {
-      throw std::invalid_argument(
-          "CsrGraph::append: edges not sorted by (src, dst)");
-    }
-  }
+  check_link_batch(new_node_count, srcs, dsts);
 
   // Chunk-parallel counts of the new links per endpoint.
   append_by_src_.count(
@@ -430,6 +437,95 @@ bool CsrGraph::append_sorted_links(std::size_t new_node_count,
   reloc_out_.clear();
   reloc_in_.clear();
   return true;
+}
+
+void CsrGraph::extend_from(const CsrGraph& base, std::size_t node_count,
+                           std::span<const NodeId> srcs,
+                           std::span<const NodeId> dsts) {
+  if (this == &base) {
+    throw std::invalid_argument("CsrGraph::extend_from: base is this graph");
+  }
+  if (node_count < base.node_count_) {
+    throw std::invalid_argument(
+        "CsrGraph::extend_from: node count may not shrink");
+  }
+  check_link_batch(node_count, srcs, dsts);
+  const std::size_t m = srcs.size();
+  const std::size_t old_n = base.node_count_;
+
+  // Batch runs as dense prefixes: the src-major batch holds each node's
+  // new targets as one ascending run; a stable scatter by dst gives each
+  // target its new sources ascending.
+  std::vector<std::uint64_t> add_out(node_count + 1, 0);
+  std::vector<std::uint64_t> add_in(node_count + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    ++add_out[srcs[i] + 1];
+    ++add_in[dsts[i] + 1];
+  }
+  for (std::size_t u = 0; u < node_count; ++u) {
+    add_out[u + 1] += add_out[u];
+    add_in[u + 1] += add_in[u];
+  }
+  std::vector<NodeId> batch_in(m);
+  {
+    std::vector<std::uint64_t> cursor(add_in.begin(), add_in.end() - 1);
+    for (std::size_t i = 0; i < m; ++i) batch_in[cursor[dsts[i]]++] = srcs[i];
+  }
+
+  // The dense layout a packed build produces (see adopt_layout).
+  node_count_ = node_count;
+  edge_count_ = base.edge_count_ + m;
+  out_start_.resize(node_count);
+  out_cap_.resize(node_count);
+  out_len_.resize(node_count);
+  in_start_.resize(node_count);
+  in_cap_.resize(node_count);
+  in_len_.resize(node_count);
+  nbr_start_.resize(node_count);
+  nbr_cap_.resize(node_count);
+  nbr_len_.resize(node_count);
+  std::uint64_t out_tail = 0, in_tail = 0;
+  for (std::size_t u = 0; u < node_count; ++u) {
+    const std::uint64_t base_out = u < old_n ? base.out_len_[u] : 0;
+    const std::uint64_t base_in = u < old_n ? base.in_len_[u] : 0;
+    out_len_[u] = out_cap_[u] = static_cast<std::uint32_t>(
+        base_out + add_out[u + 1] - add_out[u]);
+    in_len_[u] = in_cap_[u] =
+        static_cast<std::uint32_t>(base_in + add_in[u + 1] - add_in[u]);
+    out_start_[u] = out_tail;
+    in_start_[u] = in_tail;
+    nbr_start_[u] = out_tail + in_tail;
+    nbr_cap_[u] = out_cap_[u] + in_cap_[u];
+    out_tail += out_cap_[u];
+    in_tail += in_cap_[u];
+  }
+  out_targets_.resize(out_tail);
+  in_targets_.resize(in_tail);
+  nbr_targets_.resize(out_tail + in_tail);
+  out_waste_ = 0;
+  in_waste_ = 0;
+  nbr_waste_ = 0;
+
+  core::parallel_for(node_count, [&](std::size_t u) {
+    const bool old = u < old_n;
+    const auto base_out = old ? base.out(static_cast<NodeId>(u))
+                              : std::span<const NodeId>{};
+    const auto base_in = old ? base.in(static_cast<NodeId>(u))
+                             : std::span<const NodeId>{};
+    std::merge(base_out.begin(), base_out.end(), dsts.data() + add_out[u],
+               dsts.data() + add_out[u + 1],
+               out_targets_.data() + out_start_[u]);
+    std::merge(base_in.begin(), base_in.end(), batch_in.data() + add_in[u],
+               batch_in.data() + add_in[u + 1],
+               in_targets_.data() + in_start_[u]);
+    if (old && add_out[u] == add_out[u + 1] && add_in[u] == add_in[u + 1]) {
+      const auto nbr = base.neighbors(static_cast<NodeId>(u));
+      std::copy(nbr.begin(), nbr.end(), nbr_targets_.data() + nbr_start_[u]);
+      nbr_len_[u] = static_cast<std::uint32_t>(nbr.size());
+    } else {
+      rebuild_neighbors_of(u);
+    }
+  });
 }
 
 void CsrGraph::rebuild_neighbors_of(std::size_t u) {

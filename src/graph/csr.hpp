@@ -25,7 +25,11 @@
 //     SanTimeline fast path — big-buffer ping-pong, zero steady-state
 //     allocation);
 //   - `append_sorted_links` merges a sorted batch of new edges into the
-//     per-node regions (chunk-parallel counting, per-node merges).
+//     per-node regions (chunk-parallel counting, per-node merges);
+//   - `extend_from` writes a DENSE copy of another graph plus a sorted
+//     batch: untouched nodes' lists (neighbor view included) are copied,
+//     touched nodes get one per-node merge — the SnapshotCache delta-miss
+//     path, O(nodes + edges) of copying instead of a counting rebuild.
 //
 // The undirected neighbor merge runs chunked on the src/core/ substrate
 // (per-node disjoint writes, byte-identical at any thread count).
@@ -108,6 +112,18 @@ class CsrGraph {
   bool append_sorted_links(std::size_t new_node_count,
                            std::span<const NodeId> srcs,
                            std::span<const NodeId> dsts);
+
+  /// Rebuild this graph, densely packed, as `base` plus a batch of new
+  /// edges under the same contract as append_sorted_links (sorted by
+  /// (src, dst), loop-free, disjoint from `base`, ids < node_count >=
+  /// base.node_count()). The result is indistinguishable from a dense
+  /// build of the union: a node the batch does not touch copies its out,
+  /// in and neighbor lists from `base`; a touched node merges. `base` is
+  /// only read, so many threads may extend one shared graph at once; it
+  /// must not be this graph. Per-node writes are disjoint, so the result
+  /// is byte-identical at any SAN_THREADS count.
+  void extend_from(const CsrGraph& base, std::size_t node_count,
+                   std::span<const NodeId> srcs, std::span<const NodeId> dsts);
 
   std::size_t node_count() const { return node_count_; }
   std::uint64_t edge_count() const { return edge_count_; }

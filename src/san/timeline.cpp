@@ -129,6 +129,11 @@ void SanTimeline::Materializer::advance(double time, SanSnapshot& snap) {
   timeline_->advance(time, snap, *scratch_);
 }
 
+bool SanTimeline::Materializer::extend(const SanSnapshot& base, double time,
+                                       SanSnapshot& out) {
+  return timeline_->extend(base, time, out, *scratch_);
+}
+
 void SanTimeline::Materializer::invalidate() { scratch_->delta_valid = false; }
 
 SanTimeline::SanTimeline(const SocialAttributeNetwork& network) {
@@ -508,21 +513,8 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
     }
     s.deferred_edges.resize(w);
   }
-  for (std::size_t i = s.edge_prefix; i < edge_prefix_new; ++i) {
-    if (edge_src_[i] >= n_new || edge_dst_[i] >= n_new) {
-      s.deferred_edges.emplace_back(edge_src_[i], edge_dst_[i]);
-    } else {
-      s.delta_edges.emplace_back(edge_src_[i], edge_dst_[i]);
-    }
-  }
+  gather_social_slice(n_new, s.edge_prefix, edge_prefix_new, s);
   if (!s.delta_edges.empty() || n_new > s.n_social) {
-    std::sort(s.delta_edges.begin(), s.delta_edges.end());
-    s.delta_src.resize(s.delta_edges.size());
-    s.delta_dst.resize(s.delta_edges.size());
-    for (std::size_t i = 0; i < s.delta_edges.size(); ++i) {
-      s.delta_src[i] = s.delta_edges[i].first;
-      s.delta_dst[i] = s.delta_edges[i].second;
-    }
     if (!snap.social.append_sorted_links(n_new, s.delta_src, s.delta_dst)) {
       // Slack exhausted somewhere: full rebuild re-reserves against the
       // grown degrees (amortized-doubling, so this stays rare).
@@ -553,15 +545,8 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
   } else {
     s.delta_users.clear();
     s.delta_attrs.clear();
-    for (std::size_t i = s.link_prefix; i < link_prefix_new; ++i) {
-      if (link_user_[i] >= n_new ||
-          !snap.attribute_created[link_attr_[i]]) {
-        s.deferred_attr.emplace_back(link_user_[i], link_attr_[i]);
-      } else {
-        s.delta_users.push_back(link_user_[i]);
-        s.delta_attrs.push_back(link_attr_[i]);
-      }
-    }
+    gather_attribute_slice(n_new, s.link_prefix, link_prefix_new,
+                           snap.attribute_created, s);
     if (!s.delta_users.empty() || n_new > s.n_social ||
         n_attr > snap.attribute.right_count()) {
       if (!snap.attribute.append_links(n_new, n_attr, s.delta_users,
@@ -580,6 +565,102 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
   s.edge_prefix = edge_prefix_new;
   s.link_prefix = link_prefix_new;
   s.created_prefix = created_new;
+}
+
+void SanTimeline::gather_social_slice(std::size_t n_social, std::size_t begin,
+                                      std::size_t end, Scratch& s) const {
+  for (std::size_t i = begin; i < end; ++i) {
+    if (edge_src_[i] >= n_social || edge_dst_[i] >= n_social) {
+      s.deferred_edges.emplace_back(edge_src_[i], edge_dst_[i]);
+    } else {
+      s.delta_edges.emplace_back(edge_src_[i], edge_dst_[i]);
+    }
+  }
+  // The batch the CSR merge paths take: sorted by (src, dst), split into
+  // columns.
+  std::sort(s.delta_edges.begin(), s.delta_edges.end());
+  s.delta_src.resize(s.delta_edges.size());
+  s.delta_dst.resize(s.delta_edges.size());
+  for (std::size_t i = 0; i < s.delta_edges.size(); ++i) {
+    s.delta_src[i] = s.delta_edges[i].first;
+    s.delta_dst[i] = s.delta_edges[i].second;
+  }
+}
+
+void SanTimeline::gather_attribute_slice(std::size_t n_social,
+                                         std::size_t begin, std::size_t end,
+                                         std::span<const std::uint8_t> created,
+                                         Scratch& s) const {
+  for (std::size_t i = begin; i < end; ++i) {
+    if (link_user_[i] >= n_social || !created[link_attr_[i]]) {
+      s.deferred_attr.emplace_back(link_user_[i], link_attr_[i]);
+    } else {
+      s.delta_users.push_back(link_user_[i]);
+      s.delta_attrs.push_back(link_attr_[i]);
+    }
+  }
+}
+
+// Delta miss: every link at or before base.time is already in `base`
+// (it dropped none), and nodes only join and attributes are only created,
+// so the snapshot at `time` is `base` plus the slice's links whose
+// endpoints exist by `time`; the rest of the slice is exactly what
+// materialize(time) would drop. members_of stays in log order because the
+// slice follows base's links in the time-sorted log.
+bool SanTimeline::extend(const SanSnapshot& base, double time,
+                         SanSnapshot& out, Scratch& s) const {
+  const std::size_t n_attr = attr_times_.size();
+  // `time >= base.time` is false for a NaN on either side.
+  const bool usable =
+      &base != &out && time >= base.time && base.dropped_link_count == 0 &&
+      base.attribute_id_count() == n_attr &&
+      base.attribute_created.size() == n_attr &&
+      base.attribute_types.size() == n_attr &&
+      base.social_node_count() == prefix_at(social_node_times_, base.time) &&
+      base.social_link_count() == prefix_at(edge_time_, base.time) &&
+      base.attribute_link_count == prefix_at(link_time_, base.time) &&
+      base.created_attribute_count ==
+          prefix_at(attr_sorted_times_, base.time);
+  if (!usable) {
+    materialize(time, out, s, /*slack=*/false);
+    return false;
+  }
+  const std::size_t n_social = prefix_at(social_node_times_, time);
+
+  s.delta_edges.clear();
+  s.deferred_edges.clear();
+  gather_social_slice(n_social, base.social_link_count(),
+                      prefix_at(edge_time_, time), s);
+  out.social.extend_from(base.social, n_social, s.delta_src, s.delta_dst);
+
+  const std::size_t created_prefix = prefix_at(attr_sorted_times_, time);
+  out.attribute_types = base.attribute_types;
+  out.attribute_created = base.attribute_created;
+  for (std::size_t k = base.created_attribute_count; k < created_prefix;
+       ++k) {
+    const AttrId a = attr_order_[k];
+    out.attribute_created[a] = 1;
+    out.attribute_types[a] = attr_types_[a];
+  }
+  out.created_attribute_count = created_prefix;
+
+  s.delta_users.clear();
+  s.delta_attrs.clear();
+  s.deferred_attr.clear();
+  gather_attribute_slice(n_social, base.attribute_link_count,
+                         prefix_at(link_time_, time), out.attribute_created,
+                         s);
+  out.attribute.extend_from(base.attribute, n_social, n_attr, s.delta_users,
+                            s.delta_attrs);
+  out.attribute_link_count = out.attribute.link_count();
+  out.dropped_link_count = s.deferred_edges.size() + s.deferred_attr.size();
+  out.time = time;
+
+  // The scratch's deferred lists now describe `out`, not the snapshot the
+  // delta state recorded.
+  s.delta_valid = false;
+  s.delta_snap = nullptr;
+  return true;
 }
 
 SanSnapshot SanTimeline::snapshot_at(double time) const {

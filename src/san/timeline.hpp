@@ -13,6 +13,13 @@
 //     adjacency slack (graph/slack.hpp) — O(new links + nodes) per day,
 //     falling back to a full O(prefix) rebuild when slack is exhausted or
 //     a previously dropped link activates;
+//   - extend(base, t', out): write a DENSE snapshot at t' from an
+//     immutable snapshot `base` at t <= t' — untouched nodes' lists are
+//     copied, touched nodes merge in the (t, t'] slice — O(nodes + links)
+//     of copying and merging plus O(k log k) for a k-link slice, instead
+//     of three counting-scatter passes over the whole prefix. The
+//     SnapshotCache builds a miss this way from its nearest resident
+//     earlier entry;
 //   - sweep(times, visit): advance one snapshot through the grid, reusing
 //     one scratch set, so a whole replay costs O(total links) amortized
 //     instead of O(sum of prefixes) and the steady state allocates nothing.
@@ -69,6 +76,20 @@ class SanTimeline {
     /// joined, which belongs mid-list in members_of time order). Either
     /// way the result is bit-identical to materialize(time, snap).
     void advance(double time, SanSnapshot& snap);
+
+    /// Delta miss: build `out` as of `time` from `base`, a snapshot of
+    /// this timeline at an earlier or equal time, by merging only the
+    /// (base.time, time] log slice into it. `out` comes out densely packed
+    /// and bit-identical to materialize(time, out); `base` is only read,
+    /// so threads may extend one shared snapshot concurrently. Returns
+    /// true on the delta path. Takes the full materialize path instead
+    /// (returning false) when `base` dropped links (one may activate
+    /// mid-list in members_of), when `time` precedes base.time, when the
+    /// attribute id space differs, or when `base` does not match this
+    /// timeline's prefixes at base.time. Like advance(), it assumes the
+    /// timeline absorbed nothing at or before base.time since `base` was
+    /// built. Leaves no delta state behind for advance().
+    bool extend(const SanSnapshot& base, double time, SanSnapshot& out);
 
     /// Drop the delta state so the next advance() performs a full
     /// (slack-layout) rebuild. Required after the borrowed timeline
@@ -131,6 +152,17 @@ class SanTimeline {
   void materialize(double time, SanSnapshot& snap, Scratch& s,
                    bool slack) const;
   void advance(double time, SanSnapshot& snap, Scratch& s) const;
+  bool extend(const SanSnapshot& base, double time, SanSnapshot& out,
+              Scratch& s) const;
+  // The log-slice filters shared by advance() and extend(): each link at
+  // sorted log position [begin, end) whose endpoints exist goes to the
+  // scratch's delta arrays, the rest are deferred.
+  void gather_social_slice(std::size_t n_social, std::size_t begin,
+                           std::size_t end, Scratch& s) const;
+  void gather_attribute_slice(std::size_t n_social, std::size_t begin,
+                              std::size_t end,
+                              std::span<const std::uint8_t> created,
+                              Scratch& s) const;
   void build_social(std::size_t n_social, std::size_t edge_prefix,
                     SanSnapshot& snap, Scratch& s, bool slack) const;
   void build_attribute_links(std::size_t n_social, std::size_t link_prefix,

@@ -219,15 +219,16 @@ std::vector<QueryResult> QueryEngine::run_batch(
     groups[it->second].second.push_back(static_cast<std::uint32_t>(i));
   }
 
-  // Resolve distinct times one WINDOW at a time, one lane per time: the
-  // cache materializes cold days CONCURRENTLY (its misses build outside
-  // the cache lock), so a batch spanning many cold days is no longer
-  // bounded by one serial materialization chain. The window is the cache
-  // capacity: holding more handles than that would defeat the cache's own
-  // memory bound (evicted snapshots stay alive through their shared_ptr).
-  // Each distinct time is still resolved exactly once per batch, and
-  // snapshot content is identical whichever lane builds it, so results
-  // stay byte-identical.
+  // Resolve distinct times one WINDOW at a time, one lane per time: each
+  // lane task resolves its time's snapshot AND the derived state its
+  // group needs, so a window's cold days materialize and their
+  // sybil/community/influence builds run side by side (cache builds run
+  // outside the cache lock). The window is the cache capacity: holding
+  // more handles than that would defeat the cache's own memory bound
+  // (evicted snapshots stay alive through their shared_ptr). Each
+  // distinct time is still resolved exactly once per batch, and every
+  // build is a serial function of its snapshot, identical whichever lane
+  // runs it, so results stay byte-identical.
   //
   // Small query grain: per-query cost is wildly skewed (hub egos
   // dominate), and determinism never depends on the split — each query
@@ -235,25 +236,32 @@ std::vector<QueryResult> QueryEngine::run_batch(
   constexpr std::size_t kQueryGrain = 16;
   const std::size_t window = std::max<std::size_t>(cache_.capacity(), 1);
   std::vector<std::shared_ptr<const SanSnapshot>> snapshots;
+  std::vector<DerivedHandles> derived_of;
   for (std::size_t g0 = 0; g0 < groups.size(); g0 += window) {
     const std::size_t count = std::min(window, groups.size() - g0);
     snapshots.assign(count, nullptr);
+    derived_of.assign(count, {});
     core::parallel_for(
         count,
-        [&](std::size_t j) { snapshots[j] = cache_.at(groups[g0 + j].first); },
+        [&](std::size_t j) {
+          const auto& [time, indices] = groups[g0 + j];
+          snapshots[j] = cache_.at(time);
+          // Derived state resolves ONCE per group, before the
+          // data-parallel fan-out, so query lanes share one immutable
+          // build instead of racing (or privately duplicating) it.
+          bool need_sybil = false, need_community = false;
+          bool need_influence = false;
+          scan_needs(queries, indices, need_sybil, need_community,
+                     need_influence);
+          derived_of[j] = resolve_derived(cache_, snapshots[j], options_,
+                                          need_sybil, need_community,
+                                          need_influence);
+        },
         /*grain=*/1);
     for (std::size_t j = 0; j < count; ++j) {
       const auto& snap = snapshots[j];
       const auto& indices = groups[g0 + j].second;
-      // Derived state resolves ONCE per group, before the data-parallel
-      // fan-out, so lanes share one immutable build instead of racing
-      // (or privately duplicating) it.
-      bool need_sybil = false, need_community = false, need_influence = false;
-      scan_needs(queries, indices, need_sybil, need_community,
-                 need_influence);
-      const DerivedHandles derived =
-          resolve_derived(cache_, snap, options_, need_sybil, need_community,
-                          need_influence);
+      const DerivedHandles& derived = derived_of[j];
       core::parallel_for(
           indices.size(),
           [&](std::size_t i_of) {

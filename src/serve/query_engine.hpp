@@ -6,11 +6,16 @@
 // Execution model: a batch is admitted as an ordered span of queries.
 // Distinct snapshot times are resolved through the SnapshotCache in first-
 // appearance order (so a day materializes at most once per batch, however
-// many queries address it), then each time-group runs data-parallel on the
-// src/core/ substrate. Every query is self-contained — per-query scratch
-// restores its all-zero invariant after each call and results are written
-// to the query's admission slot — so batch output is byte-identical to the
-// single-query reference path at any SAN_THREADS count.
+// many queries address it), a cache-capacity window of times at once, one
+// pool lane per time. Each lane task resolves its time's snapshot (a miss
+// extends the nearest resident earlier snapshot) AND the derived
+// sybil/community/influence state its group needs, so a window's cold
+// days build side by side; each build stays serial. Then each time-group
+// runs data-parallel on the src/core/ substrate. Every query is
+// self-contained — per-query scratch restores its all-zero invariant after
+// each call and results are written to the query's admission slot — so
+// batch output is byte-identical to the single-query reference path at any
+// SAN_THREADS count.
 #pragma once
 
 #include <array>

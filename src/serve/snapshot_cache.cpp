@@ -119,14 +119,28 @@ SnapshotCache::Handle SnapshotCache::materialize(double time) {
   }
   auto materializer = std::move(idle_.back());
   idle_.pop_back();
+  // The nearest resident predecessor (greatest time <= `time`) is the
+  // delta base. A plain lookup: it neither promotes the entry nor waits on
+  // an in-flight time, and the handle keeps the base alive if it is
+  // evicted mid-build.
+  Handle base;
+  if (const auto it = index_.upper_bound(time); it != index_.begin()) {
+    base = (*std::prev(it)->second)->snapshot;
+  }
   lock.unlock();
   auto snap = std::make_shared<SanSnapshot>();
+  bool delta = false;
   {
     obs::TraceSpan span("cache.materialize");
     obs::ScopedTimer timer(materialize_ns_.get());
-    materializer->materialize(time, *snap);
+    if (base != nullptr) {
+      delta = materializer->extend(*base, time, *snap);
+    } else {
+      materializer->materialize(time, *snap);
+    }
   }
   lock.lock();
+  if (delta) delta_misses_->add();
   idle_.push_back(std::move(materializer));
   return snap;
 }
@@ -155,9 +169,25 @@ std::shared_ptr<const T> SnapshotCache::derive(const Handle& snap,
     lock.unlock();
     return build();
   }
+  // A claimed slot counts its miss up front; a joined one counts a hit,
+  // or a miss when it builds a private copy (on a pool lane, where
+  // waiting on the foreign build could deadlock). Only the registered
+  // builder runs the miss hook.
   Slot<T>& cell = (*entry).*slot;
-  (cell.valid() ? derived_.hits_ : derived_.misses_)->add();
-  return coalesce(lock, cell, build, [](const auto&) {});
+  const bool joining = cell.valid();
+  if (!joining) derived_.misses_->add();
+  const auto hook = joining ? nullptr : miss_hook_;
+  bool private_copy = false;
+  auto value = coalesce(
+      lock, cell,
+      [&] {
+        private_copy = joining;
+        if (hook) hook(snap->time);
+        return build();
+      },
+      [](const auto&) {});
+  if (joining) (private_copy ? derived_.misses_ : derived_.hits_)->add();
+  return value;
 }
 
 std::shared_ptr<const apps::SybilLimit> DerivedCache::sybil(
@@ -201,6 +231,7 @@ SnapshotCache::Stats SnapshotCache::stats() const {
   Stats out;
   out.hits = hits_->value();
   out.misses = misses_->value();
+  out.delta_misses = delta_misses_->value();
   out.coalesced = coalesced_->value();
   out.evictions = evictions_->value();
   out.peak_inflight = static_cast<std::uint64_t>(peak_inflight_->value());
@@ -213,6 +244,7 @@ SnapshotCache::Stats SnapshotCache::stats() const {
 void SnapshotCache::reset_stats() {
   hits_->reset();
   misses_->reset();
+  delta_misses_->reset();
   coalesced_->reset();
   evictions_->reset();
   live_hits_->reset();
@@ -237,6 +269,7 @@ void SnapshotCache::register_metrics(obs::Registry& registry,
                                      const std::string& prefix) const {
   registry.attach_counter(prefix + ".hits", hits_);
   registry.attach_counter(prefix + ".misses", misses_);
+  registry.attach_counter(prefix + ".delta_misses", delta_misses_);
   registry.attach_counter(prefix + ".coalesced", coalesced_);
   registry.attach_counter(prefix + ".evictions", evictions_);
   registry.attach_counter(prefix + ".live_hits", live_hits_);

@@ -8,6 +8,17 @@
 // serving state (serve/derived_cache.hpp), so that state is dropped with
 // the entry.
 //
+// Delta misses: the index is ordered by time, so a miss takes the resident
+// entry with the greatest time <= t as its base and builds the new day
+// with SanTimeline::Materializer::extend — a dense copy of the base plus
+// the (base, t] log slice, bit-identical to a full materialize — instead
+// of re-materializing the whole prefix. Without such a base (or when
+// extend declines it) the miss materializes in full. The base lookup
+// happens under the lock the miss already takes to check out a
+// Materializer; it does not promote the base in the LRU and never waits
+// on an in-flight time, so which base a miss finds can depend on timing,
+// but never a byte of the result.
+//
 // Concurrency: the mutex only guards the index — NEVER a build. Every
 // build (a cold materialization or a derived slot) goes through one
 // coalescing step: a cold request registers an in-flight shared_future,
@@ -26,6 +37,7 @@
 #include <functional>
 #include <future>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,6 +57,9 @@ class SnapshotCache {
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
+    /// Misses built by extending their nearest resident earlier snapshot
+    /// (SanTimeline::Materializer::extend) instead of a full materialize.
+    std::uint64_t delta_misses = 0;
     /// Requests that found their time already in flight on another
     /// thread: they either waited on that build or — when arriving on a
     /// core-substrate pool lane, where waiting could deadlock — built a
@@ -102,7 +117,7 @@ class SnapshotCache {
 
   /// Attach this cache's per-instance telemetry to `registry` under
   /// `prefix`: the Stats counters plus a `<prefix>.materialize` latency
-  /// histogram (cold-miss build duration) and one
+  /// histogram (every cold-miss build, delta or full) and one
   /// `<prefix>.derive.{sybil,community,influence}` histogram per derived
   /// kind (every derived build, private ones included), all recorded only
   /// while obs::timing_enabled(). Attach-only — recording never touches the
@@ -111,10 +126,13 @@ class SnapshotCache {
   void register_metrics(obs::Registry& registry,
                         const std::string& prefix) const;
 
-  /// Observability/test hook, invoked on the materializing thread right
-  /// before a cold miss starts building (outside the cache lock). Tests
-  /// use it to hold materializations at a barrier and prove that distinct
-  /// cold times overlap; pass nullptr to remove.
+  /// Observability/test hook, invoked with the snapshot time on the
+  /// building thread right before a registered build starts (outside the
+  /// cache lock): a cold miss, or a derived slot claimed on a resident
+  /// entry or the tip. Private copies built on pool lanes never run it.
+  /// Tests use it to hold builds at a barrier and prove that distinct
+  /// cold times overlap or that lanes do not block on a held build; pass
+  /// nullptr to remove.
   void set_miss_hook(std::function<void(double)> hook);
 
   /// Bind a live ingest frontier: at() resolves every time PAST `horizon`
@@ -171,6 +189,8 @@ class SnapshotCache {
   // one coherent epoch cut across all of them.
   std::shared_ptr<obs::Counter> hits_ = std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Counter> misses_ = std::make_shared<obs::Counter>();
+  std::shared_ptr<obs::Counter> delta_misses_ =
+      std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Counter> coalesced_ = std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Counter> evictions_ = std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Counter> live_hits_ = std::make_shared<obs::Counter>();
@@ -186,7 +206,8 @@ class SnapshotCache {
   std::vector<std::unique_ptr<SanTimeline::Materializer>> idle_;
   std::unordered_map<double, Slot<SanSnapshot>> inflight_;
   std::list<EntryPtr> lru_;  // front = most recently used
-  std::unordered_map<double, std::list<EntryPtr>::iterator> index_;
+  // Ordered by time, so a miss finds its nearest resident predecessor.
+  std::map<double, std::list<EntryPtr>::iterator> index_;
   EntryPtr tip_;  // derived slots of the latest live tip requested
   std::function<void(double)> miss_hook_;
 };

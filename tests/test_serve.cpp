@@ -5,18 +5,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <future>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "san/live_timeline.hpp"
 #include "san/sharded_live_timeline.hpp"
 #include "san/timeline.hpp"
@@ -314,16 +321,26 @@ TEST(QueryEngine, BatchPrefetchDoesNotBlockOnForeignInflightMiss) {
     q.user = 3;
     queries.push_back(q);
   }
-  const auto results = engine.run_batch(queries);  // must not deadlock
+  const auto open_gate = [&] {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    gate_open = true;
+    gate_cv.notify_all();
+  };
+  // Bounded wait: a lane blocked on the held build would stall until the
+  // gate's own timeout; fail fast instead (opening the gate so the batch
+  // and the foreign thread can finish).
+  auto batch = std::async(std::launch::async,
+                          [&] { return engine.run_batch(queries); });
+  const bool finished =
+      batch.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!finished) open_gate();
+  const auto results = batch.get();
+  ASSERT_TRUE(finished) << "a batch lane blocked on the foreign build";
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].ok);
   EXPECT_EQ(cache.stats().coalesced, 1u);  // 40.0 built as a private copy
 
-  {
-    std::lock_guard<std::mutex> lock(gate_mutex);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
+  open_gate();
   foreign.join();
   ASSERT_NE(foreign_snap, nullptr);
   EXPECT_EQ(foreign_snap->time, 40.0);
@@ -332,6 +349,190 @@ TEST(QueryEngine, BatchPrefetchDoesNotBlockOnForeignInflightMiss) {
   cache.set_miss_hook(nullptr);
   const auto again = engine.run_single(queries[0]);
   EXPECT_EQ(again.to_line(queries[0]), results[0].to_line(queries[0]));
+  san::core::set_thread_count(restore);
+}
+
+TEST(QueryEngine, BatchDerivedBuildDoesNotBlockOnForeignInflightSlot) {
+  // Derived state resolves on the same pool lanes as the snapshots, so the
+  // lane rule covers derived slots too: a sybil/community build held on a
+  // FOREIGN thread must not block a run_batch lane, which builds a private
+  // copy and counts a derived miss instead.
+  const auto net = small_gplus();
+  const SanTimeline timeline(net);
+  SnapshotCache cache(timeline, 8);
+  QueryEngine engine(cache);
+  const std::size_t restore = san::core::thread_count();
+  san::core::set_thread_count(4);  // real pool workers
+
+  const auto snap40 = cache.at(40.0);  // resident before the hook
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  cache.set_miss_hook([&](double time) {
+    if (time != 40.0) return;
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    gate_cv.wait_for(lock, std::chrono::seconds(60), [&] { return gate_open; });
+  });
+  const auto open_gate = [&] {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    gate_open = true;
+    gate_cv.notify_all();
+  };
+  std::thread foreign_sybil([&] {
+    cache.derived().sybil(snap40, engine.options().derived.sybil);
+  });
+  std::thread foreign_community([&] {
+    cache.derived().community(snap40, engine.options().derived.community);
+  });
+  for (int spin = 0; spin < 6000 && cache.stats().derived_misses < 2;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(cache.stats().derived_misses, 2u);  // both held at the gate
+
+  std::vector<Query> queries;
+  for (const QueryKind kind : {QueryKind::kSybil, QueryKind::kCommunity}) {
+    for (const double day : {40.0, 70.0}) {
+      Query q;
+      q.kind = kind;
+      q.time = day;
+      q.user = 3;
+      queries.push_back(q);
+    }
+  }
+  auto batch = std::async(std::launch::async,
+                          [&] { return engine.run_batch(queries); });
+  const bool finished =
+      batch.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!finished) open_gate();
+  const auto results = batch.get();
+  ASSERT_TRUE(finished) << "a batch lane blocked on a foreign derived build";
+  ASSERT_EQ(results.size(), queries.size());
+  // Day 40: two private copies; day 70: two claimed builds.
+  EXPECT_EQ(cache.stats().derived_misses, 6u);
+  EXPECT_EQ(cache.stats().derived_hits, 0u);
+
+  open_gate();
+  foreign_sybil.join();
+  foreign_community.join();
+
+  // The private copies rendered what the resident state renders.
+  cache.set_miss_hook(nullptr);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_TRUE(results[i].ok);
+    EXPECT_EQ(engine.run_single(queries[i]).to_line(queries[i]),
+              results[i].to_line(queries[i]))
+        << "query " << i;
+  }
+  EXPECT_EQ(cache.stats().derived_hits, queries.size());
+  san::core::set_thread_count(restore);
+}
+
+// ---- Delta misses against a cache-free oracle. ----
+
+/// A tip source that always publishes one fixed snapshot. Bound to a
+/// cache with an infinitely early horizon, it routes every query to that
+/// snapshot, so the engine answers from timeline.snapshot_at(t) without
+/// the cache materializing or extending anything.
+class FixedTip : public san::LiveTipSource {
+ public:
+  explicit FixedTip(SanSnapshot snap)
+      : snap_(std::make_shared<const SanSnapshot>(std::move(snap))) {}
+  std::shared_ptr<const SanSnapshot> tip() const override { return snap_; }
+  double ingest(const IngestBatch&) override {
+    throw std::logic_error("FixedTip does not ingest");
+  }
+  void publish() override {}
+  Stats stats() const override { return {}; }
+  void register_metrics(san::obs::Registry&,
+                        const std::string&) const override {}
+
+ private:
+  std::shared_ptr<const SanSnapshot> snap_;
+};
+
+std::vector<std::string> oracle_lines(const SanTimeline& timeline,
+                                      const std::vector<Query>& queries) {
+  std::map<double, std::vector<std::size_t>> by_day;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    by_day[queries[i].time].push_back(i);
+  }
+  std::vector<std::string> lines(queries.size());
+  for (const auto& [day, indices] : by_day) {
+    const FixedTip tip(timeline.snapshot_at(day));
+    SnapshotCache cache(timeline, 1);
+    cache.bind_live(tip, -std::numeric_limits<double>::infinity());
+    QueryEngine engine(cache);
+    for (const std::size_t i : indices) {
+      lines[i] = engine.run_single(queries[i]).to_line(queries[i]);
+    }
+    EXPECT_EQ(cache.stats().misses, 0u);
+  }
+  return lines;
+}
+
+TEST(QueryEngine, DeltaMissesMatchCacheFreeOracleInAnyDayOrder) {
+  // A capacity-2 cache over 12 days: every window is wider than the
+  // resident set, bases are evicted while later days extend them, and
+  // ascending days take the delta path almost every miss.
+  const auto net = small_gplus();
+  const SanTimeline timeline(net);
+  std::vector<double> days;
+  for (double day = 6.0; day <= 98.0; day += 8.0) days.push_back(day);
+  const auto queries = san::testlib::full_mixed_queries(
+      360, net.social_node_count(), days, 4242);
+  const auto reference = oracle_lines(timeline, queries);
+
+  // Admission orders: by day ascending, descending and shuffled.
+  std::vector<double> shuffled = days;
+  san::stats::Rng rng(31);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.uniform_index(i)]);
+  }
+  const auto rank_in = [](const std::vector<double>& order, double day) {
+    return std::find(order.begin(), order.end(), day) - order.begin();
+  };
+  std::vector<double> descending(days.rbegin(), days.rend());
+
+  const std::size_t restore = san::core::thread_count();
+  std::uint64_t delta_misses = 0;
+  for (const auto* order : {&days, &descending, &shuffled}) {
+    std::vector<std::size_t> admission(queries.size());
+    std::iota(admission.begin(), admission.end(), std::size_t{0});
+    std::stable_sort(admission.begin(), admission.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return rank_in(*order, queries[a].time) <
+                              rank_in(*order, queries[b].time);
+                     });
+    std::vector<Query> admitted;
+    for (const std::size_t i : admission) admitted.push_back(queries[i]);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "order " << (order == &days         ? "ascending"
+                                   : order == &descending ? "descending"
+                                                          : "shuffled")
+                   << ", threads=" << threads);
+      san::core::set_thread_count(threads);
+      SnapshotCache cache(timeline, 2);
+      QueryEngine engine(cache);
+      constexpr std::size_t kBatch = 48;
+      for (std::size_t b = 0; b < admitted.size(); b += kBatch) {
+        const std::span<const Query> batch(
+            admitted.data() + b, std::min(kBatch, admitted.size() - b));
+        const auto results = engine.run_batch(batch);
+        ASSERT_EQ(results.size(), batch.size());
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+          ASSERT_EQ(results[k].to_line(batch[k]), reference[admission[b + k]])
+              << "admitted query " << b + k;
+        }
+      }
+      if (order == &days) {
+        EXPECT_GT(cache.stats().delta_misses, 0u);
+      }
+      delta_misses += cache.stats().delta_misses;
+    }
+  }
+  EXPECT_GT(delta_misses, 0u);
   san::core::set_thread_count(restore);
 }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -289,6 +290,139 @@ TEST(Timeline, OutOfOrderLogTimesStillMatchNaive) {
   for (const double t : {0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 9.0}) {
     expect_snapshots_identical(timeline.snapshot_at(t), snapshot_at(net, t), t);
   }
+}
+
+// ---- Delta misses (Materializer::extend). ----
+
+/// Random SAN on an integer time grid: nodes join and attributes are
+/// created throughout, links land in random log order with many ties, and
+/// one social and one attribute link are logged a day before an endpoint
+/// exists. Snapshots in [4, 5) and [8, 9) therefore drop links, every
+/// other one drops none.
+SocialAttributeNetwork late_endpoint_san(std::uint64_t seed) {
+  san::stats::Rng rng(seed);
+  SocialAttributeNetwork net;
+  constexpr std::size_t kNodes = 160, kAttrs = 24;
+  std::vector<double> join(kNodes);
+  for (auto& t : join) t = std::floor(rng.uniform() * 12.0);
+  join[0] = 0.0;
+  join[1] = 5.0;
+  std::sort(join.begin(), join.end());
+  for (const double t : join) net.add_social_node(t);
+  std::vector<double> created(kAttrs);
+  for (std::size_t a = 0; a < kAttrs; ++a) {
+    created[a] = a == 0 ? 9.0 : std::floor(rng.uniform() * 12.0);
+    net.add_attribute_node(static_cast<AttributeType>(a % 4), "",
+                           created[a]);
+  }
+
+  // Dropped until day 5: a link from an early node to the first node
+  // joining at 5.
+  const auto late = static_cast<NodeId>(
+      std::lower_bound(join.begin(), join.end(), 5.0) - join.begin());
+  EXPECT_EQ(join[late], 5.0);
+  EXPECT_TRUE(net.add_social_link(0, late, 4.0));
+  // Dropped until day 9: a link to attribute 0, created at 9.
+  EXPECT_TRUE(net.add_attribute_link(0, 0, 8.0));
+
+  for (std::size_t i = 0; i < 900; ++i) {
+    const auto u = static_cast<NodeId>(rng.uniform_index(kNodes));
+    const auto v = static_cast<NodeId>(rng.uniform_index(kNodes));
+    if (u == v) continue;
+    net.add_social_link(u, v,
+                        std::max(join[u], join[v]) +
+                            std::floor(rng.uniform() * 3.0));
+  }
+  for (std::size_t i = 0; i < 300; ++i) {
+    const auto u = static_cast<NodeId>(rng.uniform_index(kNodes));
+    const auto a = static_cast<AttrId>(rng.uniform_index(kAttrs));
+    net.add_attribute_link(u, a,
+                           std::max(join[u], created[a]) +
+                               std::floor(rng.uniform() * 3.0));
+  }
+  return net;
+}
+
+TEST(Timeline, ExtendMatchesMaterializeForEveryBaseAndTarget) {
+  const auto net = late_endpoint_san(5);
+  const SanTimeline timeline(net);
+  // 1 and 1.5 (and 14 and +inf) cover equal prefixes; 4, 4.5 and 8 drop
+  // links.
+  const std::vector<double> times{0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5,
+                                  5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0,
+                                  12.0, 14.0, 16.0,
+                                  std::numeric_limits<double>::infinity()};
+  std::vector<SanSnapshot> full;
+  for (const double t : times) full.push_back(timeline.snapshot_at(t));
+
+  SanTimeline::Materializer materializer(timeline);
+  SanSnapshot out;  // reused: extend must overwrite every field
+  std::size_t delta = 0, dropped_base = 0, slice_drops = 0, regressions = 0;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    for (std::size_t j = 0; j < times.size(); ++j) {
+      SCOPED_TRACE(testing::Message() << "base=" << times[i]);
+      const SanSnapshot& base = full[i];
+      const bool extended = materializer.extend(base, times[j], out);
+      EXPECT_EQ(extended, i <= j && base.dropped_link_count == 0);
+      expect_snapshots_identical(out, full[j], times[j]);
+      EXPECT_EQ(out.time, times[j]);
+      EXPECT_EQ(out.created_attribute_count, full[j].created_attribute_count);
+      delta += extended;
+      dropped_base += i <= j && base.dropped_link_count > 0;
+      slice_drops += extended && out.dropped_link_count > 0;
+      regressions += i > j;
+    }
+  }
+  // The grid really exercises each path.
+  EXPECT_GT(delta, 100u);
+  EXPECT_GT(dropped_base, 0u);
+  EXPECT_GT(slice_drops, 0u);
+  EXPECT_GT(regressions, 0u);
+
+  // A base aliasing the output takes the full path.
+  SanSnapshot alias = timeline.snapshot_at(3.0);
+  EXPECT_FALSE(materializer.extend(alias, 7.0, alias));
+  expect_snapshots_identical(alias, full[9], 7.0);
+}
+
+TEST(Timeline, ExtendFallsBackOnForeignBase) {
+  const auto net = late_endpoint_san(9);
+  const SanTimeline timeline(net);
+  const auto other_net = late_endpoint_san(10);
+  const SanTimeline other(other_net);
+  SanTimeline::Materializer materializer(timeline);
+  SanSnapshot out;
+  // A snapshot of a different network at the same time disagrees with
+  // this timeline's prefixes; extending it would corrupt `out`.
+  const auto foreign = other.snapshot_at(3.0);
+  ASSERT_EQ(foreign.dropped_link_count, 0u);
+  EXPECT_FALSE(materializer.extend(foreign, 6.0, out));
+  expect_snapshots_identical(out, timeline.snapshot_at(6.0), 6.0);
+}
+
+TEST(Timeline, ExtendByteIdenticalAcrossThreadCountsOnGplus) {
+  // Large enough that the per-node copy/merge passes split into several
+  // chunks; day pairs one and several days apart.
+  const auto net = san::testlib::synthetic_gplus(6'000, 13);
+  const SanTimeline timeline(net);
+  const auto fingerprint = san::testlib::snapshot_fingerprint;
+  const std::vector<std::pair<double, double>> pairs{
+      {20.0, 21.0}, {30.0, 37.0}, {60.0, 61.0}, {90.0, 98.0}, {10.0, 98.0}};
+  const std::size_t restore = san::core::thread_count();
+  for (const auto& [t0, t1] : pairs) {
+    SCOPED_TRACE(testing::Message() << t0 << " -> " << t1);
+    const auto base = timeline.snapshot_at(t0);
+    ASSERT_EQ(base.dropped_link_count, 0u);
+    const std::uint64_t want = fingerprint(timeline.snapshot_at(t1));
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      san::core::set_thread_count(threads);
+      SanTimeline::Materializer materializer(timeline);
+      SanSnapshot out;
+      EXPECT_TRUE(materializer.extend(base, t1, out));
+      EXPECT_EQ(fingerprint(out), want) << threads << " threads";
+    }
+  }
+  san::core::set_thread_count(restore);
 }
 
 // ---- BipartiteCsr invariants. ----

@@ -29,9 +29,9 @@ SUBCOMMANDS = [
 ]
 
 
-def run(*args, timeout=300):
+def run(*args, timeout=300, env=None):
     return subprocess.run([SAN_TOOL, *args], capture_output=True, text=True,
-                          timeout=timeout)
+                          timeout=timeout, env=env)
 
 
 def check(name, condition, detail=""):
@@ -574,6 +574,36 @@ def test_export_write_failures(tmp):
               f"exit={result.returncode} stderr={result.stderr[:200]!r}")
 
 
+def test_small_cache_identity(tmp):
+    """A seven-kind scenario served through a 2-entry cache answers
+    byte-for-byte what a 64-entry cache answers: windows wider than the
+    resident set, delta misses whose base is evicted mid-build, and
+    lane-parallel derived builds change no byte at any lane count."""
+    san = os.path.join(tmp, "small_cache.san")
+    expect("small cache: generate -> exit 0",
+           run("generate", "--kind", "gplus", "--nodes", "1500", "--seed",
+               "5", "-o", san), 0, ["wrote"])
+    workload = os.path.join(tmp, "small_cache_wl.txt")
+    expect("small cache: genload -> exit 0",
+           run("genload", "--queries", "400", "--nodes", "1500", "--seed",
+               "13", "--now", "0.1", "-o", workload), 0, ["wrote"])
+    default_env = {k: v for k, v in os.environ.items() if k != "SAN_THREADS"}
+    reference = run("serve", san, "--workload", workload, "--cache", "64",
+                    "--batch", "64", env=default_env)
+    expect("small cache: --cache 64 serve -> exit 0", reference, 0)
+    kinds = {line.split(" ", 1)[0] for line in reference.stdout.splitlines()}
+    check("small cache: scenario covers all seven kinds", len(kinds) == 7,
+          str(sorted(kinds)))
+    for threads in ("1", "4"):
+        small = run("serve", san, "--workload", workload, "--cache", "2",
+                    "--batch", "64",
+                    env=dict(os.environ, SAN_THREADS=threads))
+        expect(f"small cache: --cache 2 at SAN_THREADS={threads} -> exit 0",
+               small, 0)
+        check(f"small cache: --cache 2 at SAN_THREADS={threads} stdout == "
+              "--cache 64", small.stdout == reference.stdout)
+
+
 def test_telemetry(tmp):
     """--stats-json/--trace/--stats-every: valid artifacts, identical
     stdout, the documented key schema."""
@@ -672,6 +702,7 @@ def main():
         test_end_to_end(tmp)
         test_genload_pipeline(tmp)
         test_new_query_kinds(tmp)
+        test_small_cache_identity(tmp)
         test_telemetry(tmp)
         test_listen_byte_identity(tmp)
         test_listen_protocol_edges(tmp)
