@@ -10,7 +10,10 @@
 //      line is byte-identical to the reference;
 //   3. reports queries/sec with a cold SnapshotCache (every day
 //      materializes) vs a warm one (every day hits) and FAILS unless warm
-//      beats cold.
+//      beats cold;
+//   4. serves a seven-kind genload scenario cold, then warm, and FAILS
+//      unless both passes are byte-identical to run_single on a fresh
+//      cache; each derived builder's p50 is reported (informational).
 //
 // Scale with SAN_BENCH_NODES (default 60k) and SAN_SERVE_QUERIES (default
 // 20k). `--json OUT` writes the headline metrics for the CI
@@ -22,6 +25,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -63,6 +67,23 @@ std::vector<std::string> run_batched(serve::QueryEngine& engine,
     served += count;
   }
   return lines;
+}
+
+/// False, with the first deviating line on stderr, unless `got` equals
+/// the reference line for line.
+bool identical(const std::vector<std::string>& got,
+               const std::vector<std::string>& reference, const char* what) {
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    if (i >= got.size() || got[i] != reference[i]) {
+      std::fprintf(stderr,
+                   "FAIL: %s deviates from reference at query %zu\n"
+                   "  got:       %s\n  reference: %s\n",
+                   what, i, i < got.size() ? got[i].c_str() : "(missing)",
+                   reference[i].c_str());
+      return false;
+    }
+  }
+  return got.size() == reference.size();
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -114,15 +135,9 @@ int main(int argc, char** argv) {
     const auto start = std::chrono::steady_clock::now();
     const auto lines = run_batched(engine, queries, kBatch);
     const double batch_s = seconds_since(start);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (lines[i] != reference[i]) {
-        std::fprintf(stderr,
-                     "FAIL: batch result deviates from reference at query %zu"
-                     " (%zu threads)\n  batch:     %s\n  reference: %s\n",
-                     i, threads, lines[i].c_str(), reference[i].c_str());
-        return 1;
-      }
-    }
+    const std::string what =
+        "batch result (" + std::to_string(threads) + " threads)";
+    if (!identical(lines, reference, what.c_str())) return 1;
     std::printf("  %zu threads: identical, %7.3f s (%.0f queries/s)\n",
                 threads, batch_s, queries.size() / batch_s);
   }
@@ -228,13 +243,16 @@ int main(int argc, char** argv) {
     report.add(std::string("serve_qps_") + serve::to_string(kind), qps);
   }
 
-  bench::header("scenario: genload seven-kind trace (informational)");
+  bench::header("scenario: genload seven-kind trace");
   // A seeded scenario workload (san_tool genload): Zipf-skewed users,
   // diurnal arrivals over a four-week window, all seven query kinds —
   // the realistic mix that exercises the per-entry derived state
   // (sybil topology / label propagation / first-pick builds, one per
-  // resolved day). Rates are runner-dependent: reported for trending,
-  // never gated against the baseline.
+  // resolved day). The cold pass (every day materializes and builds its
+  // derived state), the warm pass (every day hits) and run_single on a
+  // fresh cache must agree byte for byte. Rates and builder p50s are
+  // runner-dependent: reported for trending, never gated against the
+  // baseline.
   {
     serve::GenloadOptions scenario;
     scenario.queries = std::max<std::size_t>(query_count() / 4, 1);
@@ -246,12 +264,19 @@ int main(int argc, char** argv) {
         serve::parse_workload(serve::generate_workload(scenario));
     serve::SnapshotCache scenario_cache(timeline, 32);
     serve::QueryEngine scenario_engine(scenario_cache);
+    obs::Registry scenario_registry;
+    scenario_cache.register_metrics(scenario_registry, "cache");
 
+    // Time the cold pass's derived builds into cache.derive.<kind>.
+    obs::set_timing_enabled(true);
     const auto cold_scenario_start = std::chrono::steady_clock::now();
-    (void)run_batched(scenario_engine, scenario_queries, kBatch);
+    const auto cold_lines =
+        run_batched(scenario_engine, scenario_queries, kBatch);
     const double cold_scenario_s = seconds_since(cold_scenario_start);
+    obs::set_timing_enabled(false);
     const auto warm_scenario_start = std::chrono::steady_clock::now();
-    (void)run_batched(scenario_engine, scenario_queries, kBatch);
+    const auto warm_lines =
+        run_batched(scenario_engine, scenario_queries, kBatch);
     const double warm_scenario_s = seconds_since(warm_scenario_start);
 
     const auto stats = scenario_cache.stats();
@@ -271,11 +296,34 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.derived_hits));
     report.add("scenario_qps_cold", cold_qps);
     report.add("scenario_qps_warm", warm_qps);
+    for (const auto& [name, value] : scenario_registry.snapshot()) {
+      constexpr std::string_view kPrefix = "cache.derive.";
+      constexpr std::string_view kSuffix = ".p50_us";
+      if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) continue;
+      const std::string kind = name.substr(
+          kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
+      std::printf("  %-9s build p50 %8.3f ms\n", kind.c_str(),
+                  value / 1000.0);
+      report.add("scenario_derive_p50_ms_" + kind, value / 1000.0);
+    }
     if (stats.derived_misses == 0) {
       std::fprintf(stderr,
                    "FAIL: scenario trace never built derived state\n");
       return 1;
     }
+
+    serve::SnapshotCache single_cache(timeline, 32);
+    serve::QueryEngine single_engine(single_cache);
+    std::vector<std::string> single_lines;
+    single_lines.reserve(scenario_queries.size());
+    for (const auto& q : scenario_queries) {
+      single_lines.push_back(single_engine.run_single(q).to_line(q));
+    }
+    if (!identical(cold_lines, single_lines, "scenario cold pass") ||
+        !identical(warm_lines, single_lines, "scenario warm pass")) {
+      return 1;
+    }
+    std::printf("  cold == warm == run_single on a fresh cache\n");
   }
 
   bench::header("concurrent cold misses: distinct days from parallel callers");

@@ -3,21 +3,25 @@
 #include <stdexcept>
 #include <vector>
 
-#include "apps/projection.hpp"
-
 namespace san::apps {
+namespace {
 
-AnonymousCommunication::AnonymousCommunication(const graph::CsrGraph& social,
-                                               const AnonOptions& options)
-    : topology_(degree_bounded_undirected(social, options.degree_bound)),
-      options_(options) {
+const AnonOptions& validated(const AnonOptions& options) {
   if (options.walk_length < 2) {
     throw std::invalid_argument("AnonymousCommunication: walk_length >= 2");
   }
   if (options.num_walks == 0) {
     throw std::invalid_argument("AnonymousCommunication: num_walks > 0");
   }
+  return options;
 }
+
+}  // namespace
+
+AnonymousCommunication::AnonymousCommunication(const graph::CsrGraph& social,
+                                               const AnonOptions& options)
+    : options_(validated(options)),
+      topology_(degree_bounded_undirected(social, options_.degree_bound)) {}
 
 double AnonymousCommunication::timing_attack_probability(
     std::span<const std::uint8_t> compromised_flags, stats::Rng& rng) const {

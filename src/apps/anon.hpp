@@ -5,12 +5,15 @@
 // both its first and last relays are adversary-controlled. We estimate that
 // probability by Monte-Carlo: walks of the given length on the
 // degree-bounded undirected social graph, compromised nodes sampled
-// uniformly.
+// uniformly. The constructor validates the options before it builds the
+// projection (apps/projection.hpp), whose symmetric adjacency is all the
+// walks read.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
+#include "apps/projection.hpp"
 #include "graph/csr.hpp"
 #include "stats/rng.hpp"
 
@@ -27,7 +30,7 @@ class AnonymousCommunication {
   AnonymousCommunication(const graph::CsrGraph& social,
                          const AnonOptions& options);
 
-  const graph::CsrGraph& topology() const { return topology_; }
+  const SymmetricAdjacency& topology() const { return topology_; }
 
   /// Probability that the first and last relays of a random-walk circuit
   /// are both compromised.
@@ -39,8 +42,8 @@ class AnonymousCommunication {
                                            stats::Rng& rng) const;
 
  private:
-  graph::CsrGraph topology_;
-  AnonOptions options_;
+  AnonOptions options_;  // declared first: validated before the build
+  SymmetricAdjacency topology_;
 };
 
 }  // namespace san::apps

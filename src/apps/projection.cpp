@@ -1,24 +1,41 @@
 #include "apps/projection.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace san::apps {
 
-graph::CsrGraph degree_bounded_undirected(const graph::CsrGraph& social,
-                                          std::size_t degree_bound) {
+using graph::NodeId;
+
+std::span<const NodeId> SymmetricAdjacency::out(NodeId u) const {
+  if (u >= node_count()) {
+    throw std::out_of_range("SymmetricAdjacency: unknown node id");
+  }
+  return {targets_.data() + offsets_[u],
+          static_cast<std::size_t>(offsets_[u + 1] - offsets_[u])};
+}
+
+bool SymmetricAdjacency::has_edge(NodeId u, NodeId v) const {
+  const auto o = out(u);
+  return std::binary_search(o.begin(), o.end(), v);
+}
+
+SymmetricAdjacency degree_bounded_undirected(const graph::CsrGraph& social,
+                                             std::size_t degree_bound) {
   if (degree_bound == 0) {
     throw std::invalid_argument("degree_bounded_undirected: bound must be > 0");
   }
-  using graph::NodeId;
   const std::size_t n = social.node_count();
 
   // The sorted neighbor view lists each undirected link {u, v} once from
   // either end; keeping v > u while u ascends visits the canonical pairs
   // in ascending (u, v) order, reciprocal directed pairs already merged.
   // The greedy degree cap admits links in exactly that order.
-  std::vector<std::uint64_t> offset(n + 1, 0);  // kept degree, then starts
+  SymmetricAdjacency projected;
+  auto& offset = projected.offsets_;  // kept degree, then starts
+  offset.assign(n + 1, 0);
   std::vector<std::pair<NodeId, NodeId>> kept;
   for (NodeId u = 0; u < n; ++u) {
     for (const NodeId v : social.neighbors(u)) {
@@ -33,19 +50,15 @@ graph::CsrGraph degree_bounded_undirected(const graph::CsrGraph& social,
   }
   for (std::size_t u = 0; u < n; ++u) offset[u + 1] += offset[u];
 
-  // Counting fill of both directions. Node x receives its w < x entries
-  // while w < x is processed and its own v > x entries after them, each
-  // group ascending, so every list and the (src, dst) order come out sorted.
-  std::vector<NodeId> srcs(offset[n]), dsts(offset[n]);
+  // Counting fill. Node x receives its w < x entries while w < x is
+  // processed and its own v > x entries after them, each group ascending,
+  // so every list comes out sorted.
+  projected.targets_.resize(offset[n]);
   std::vector<std::uint64_t> cursor(offset.begin(), offset.end() - 1);
   for (const auto& [u, v] : kept) {
-    srcs[cursor[u]] = u;
-    dsts[cursor[u]++] = v;
-    srcs[cursor[v]] = v;
-    dsts[cursor[v]++] = u;
+    projected.targets_[cursor[u]++] = v;
+    projected.targets_[cursor[v]++] = u;
   }
-  graph::CsrGraph projected;
-  projected.rebuild_from_sorted_edges(n, srcs, dsts);
   return projected;
 }
 

@@ -4,8 +4,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "apps/projection.hpp"
-
 namespace san::apps {
 namespace {
 
@@ -16,16 +14,19 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+const SybilLimitOptions& validated(const SybilLimitOptions& options) {
+  if (options.route_length == 0) {
+    throw std::invalid_argument("SybilLimit: route_length must be > 0");
+  }
+  return options;
+}
+
 }  // namespace
 
 SybilLimit::SybilLimit(const graph::CsrGraph& social,
                        const SybilLimitOptions& options)
-    : topology_(degree_bounded_undirected(social, options.degree_bound)),
-      options_(options) {
-  if (options.route_length == 0) {
-    throw std::invalid_argument("SybilLimit: route_length must be > 0");
-  }
-}
+    : options_(validated(options)),
+      topology_(degree_bounded_undirected(social, options_.degree_bound)) {}
 
 SybilLimitResult SybilLimit::evaluate(
     std::span<const std::uint8_t> compromised_flags) const {

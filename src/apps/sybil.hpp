@@ -10,12 +10,18 @@
 //
 // A random-route simulator (per-node pseudorandom permutation routing, the
 // actual SybilLimit mechanism) is included for verification on small graphs.
+//
+// The constructor validates the options before it builds anything, then
+// keeps only the degree-bounded projection (apps/projection.hpp): one
+// symmetric offsets/targets adjacency, which is all evaluation and routing
+// read.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "apps/projection.hpp"
 #include "graph/csr.hpp"
 #include "stats/rng.hpp"
 
@@ -36,10 +42,12 @@ struct SybilLimitResult {
 
 class SybilLimit {
  public:
-  /// Builds the degree-bounded undirected topology once.
+  /// Validates `options` (route_length > 0; degree_bound > 0 is checked by
+  /// the projection), then builds the degree-bounded undirected topology
+  /// once.
   SybilLimit(const graph::CsrGraph& social, const SybilLimitOptions& options);
 
-  const graph::CsrGraph& topology() const { return topology_; }
+  const SymmetricAdjacency& topology() const { return topology_; }
 
   /// Accepted-Sybil bound for an explicit compromised set (node flags).
   SybilLimitResult evaluate(
@@ -68,8 +76,8 @@ class SybilLimit {
                                           std::uint64_t instance) const;
 
  private:
-  graph::CsrGraph topology_;
-  SybilLimitOptions options_;
+  SybilLimitOptions options_;  // declared first: validated before the build
+  SymmetricAdjacency topology_;
 };
 
 }  // namespace san::apps

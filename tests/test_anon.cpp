@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,6 +28,16 @@ CsrGraph complete(std::size_t n) {
     }
   }
   return CsrGraph::from_edges(n, edges);
+}
+
+std::string construction_error(const CsrGraph& social,
+                               const AnonOptions& options) {
+  try {
+    const AnonymousCommunication anon(social, options);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
 }
 
 TEST(Anon, NoCompromiseNoAttack) {
@@ -98,6 +110,25 @@ TEST(Anon, ValidatesArguments) {
                std::invalid_argument);
   EXPECT_THROW(anon.timing_attack_probability_uniform(50, rng),
                std::invalid_argument);
+}
+
+TEST(Anon, OptionsValidatedBeforeProjection) {
+  AnonOptions short_walk;
+  short_walk.walk_length = 1;
+  AnonOptions no_walks;
+  no_walks.num_walks = 0;
+  EXPECT_EQ(construction_error(complete(5), short_walk),
+            "AnonymousCommunication: walk_length >= 2");
+  EXPECT_EQ(construction_error(complete(5), no_walks),
+            "AnonymousCommunication: num_walks > 0");
+  // The projection refuses a zero degree bound too; the options are
+  // checked first, so their errors still win.
+  short_walk.degree_bound = 0;
+  no_walks.degree_bound = 0;
+  EXPECT_EQ(construction_error(complete(5), short_walk),
+            "AnonymousCommunication: walk_length >= 2");
+  EXPECT_EQ(construction_error(complete(5), no_walks),
+            "AnonymousCommunication: num_walks > 0");
 }
 
 }  // namespace

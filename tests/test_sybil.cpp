@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,6 +27,16 @@ CsrGraph ring(std::size_t n) {
     edges.emplace_back((u + 1) % n, u);
   }
   return CsrGraph::from_edges(n, edges);
+}
+
+std::string construction_error(const CsrGraph& social,
+                               const SybilLimitOptions& options) {
+  try {
+    const SybilLimit sybil(social, options);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
 }
 
 TEST(Sybil, AttackEdgesCountedOnce) {
@@ -113,6 +125,18 @@ TEST(Sybil, ValidatesInput) {
   SybilLimitOptions bad;
   bad.route_length = 0;
   EXPECT_THROW(SybilLimit(ring(6), bad), std::invalid_argument);
+}
+
+TEST(Sybil, RouteLengthValidatedBeforeProjection) {
+  SybilLimitOptions bad;
+  bad.route_length = 0;
+  EXPECT_EQ(construction_error(ring(6), bad),
+            "SybilLimit: route_length must be > 0");
+  // The projection refuses a zero degree bound too; the options are
+  // checked first, so the route-length error still wins.
+  bad.degree_bound = 0;
+  EXPECT_EQ(construction_error(ring(6), bad),
+            "SybilLimit: route_length must be > 0");
 }
 
 }  // namespace
